@@ -16,12 +16,13 @@
 //! `refused` and are excluded from the gated keys — refusing is the
 //! correct result for them, not a regression.
 //!
-//! A second, *skewed-cost* section measures the work-stealing scatter: one
-//! replica of each 4-way replicated stage runs under an injected benign
-//! delay (timing-only, results still checked bit-for-bit), and the table
-//! reports `time(round-robin) / time(work-stealing)` — round-robin must
-//! push a quarter of the iterations through the slow replica, stealing
-//! routes around it via queue-depth feedback.
+//! A second, *skewed-cost* section shows the scatter routing around a slow
+//! replica: one replica of each 4-way replicated stage runs under an
+//! injected benign delay (timing-only, results still checked bit-for-bit),
+//! and the table reports `time(skewed) / time(even)`. The scatter sends
+//! each iteration to the least-backlogged replica (queue-depth feedback),
+//! so the slow replica only takes the iterations it keeps up with. The
+//! section is informational: it writes no keys and gates nothing.
 //!
 //! ```text
 //! cargo run --release -p dswp-bench --bin replicated_speedup -- [options]
@@ -30,8 +31,7 @@
 //!                            more than 10% below the committed baseline; on
 //!                            hosts with >= 4 cores additionally require the
 //!                            DOALL sentinel (compress or jpegenc at 4
-//!                            replicas) to reach 1.3x and the skewed-cost
-//!                            work-stealing ratio to reach 1.15x
+//!                            replicas) to reach 1.3x
 //!   --update-baseline FILE   rewrite the baseline's `replicated/` section
 //!                            with this run's ratios (other sections kept)
 //! DSWP_BENCH_SIZE=test      quick smoke run
@@ -41,9 +41,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use dswp::{
-    annotate_loop_affine, dswp_loop, DswpError, DswpOptions, PipelineMap, Replicate, ScatterPolicy,
-};
+use dswp::{annotate_loop_affine, dswp_loop, DswpError, DswpOptions, PipelineMap, Replicate};
 use dswp_analysis::AliasMode;
 use dswp_bench::json;
 use dswp_bench::runner::{geomean, Experiment};
@@ -64,11 +62,8 @@ const PREFIX: &str = "replicated/";
 /// machine with enough cores.
 const SENTINELS: [&str; 2] = ["29.compress", "jpegenc"];
 const SENTINEL_FLOOR: f64 = 1.3;
-/// Minimum `time(round-robin) / time(work-stealing)` under the skewed-cost
-/// workload at 4 replicas, required on machines with >= 4 cores.
-const STEAL_FLOOR: f64 = 1.15;
 /// Spin count of the injected per-instruction delay that skews one replica
-/// of each group in the work-stealing section.
+/// of each group in the skewed-cost section.
 const SKEW_SPINS: u32 = 400;
 
 const REGRESSION_TOLERANCE: f64 = 0.10;
@@ -88,11 +83,7 @@ struct Case {
 /// DSWP-transforms `w` with `replicate` under precise alias analysis
 /// (replication legality needs provable per-iteration stores). Returns the
 /// transformed program and whether a stage was actually replicated.
-fn transform(
-    w: &Workload,
-    replicate: Replicate,
-    scatter: ScatterPolicy,
-) -> Option<(Program, bool)> {
+fn transform(w: &Workload, replicate: Replicate) -> Option<(Program, bool)> {
     let mut p = w.program.clone();
     let main = p.main();
     let profile = Interpreter::new(&p)
@@ -104,7 +95,6 @@ fn transform(
     let opts = DswpOptions {
         alias: AliasMode::Precise,
         replicate,
-        scatter,
         ..DswpOptions::default()
     };
     match dswp_loop(&mut p, main, w.header, &profile, &opts) {
@@ -129,7 +119,7 @@ fn cases(size: Size) -> Vec<Case> {
             } else {
                 Replicate::Fixed(k)
             };
-            match transform(&w, req, ScatterPolicy::RoundRobin) {
+            match transform(&w, req) {
                 Some((p, applied)) => {
                     if k > 1 && !applied {
                         programs.push(None);
@@ -228,18 +218,15 @@ fn sweep(cases: &[Case], cap: usize) -> Vec<(String, f64)> {
     pairs
 }
 
-/// Skewed-cost work-stealing section: each DOALL sentinel is replicated 4
-/// ways under both scatter policies, with the first replica of every
-/// replica group slowed by an injected benign delay. Returns
-/// `replicated/steal/<workload>/r4` keys holding
-/// `time(round-robin) / time(work-stealing)`.
-fn skew_sweep(size: Size, cap: usize) -> Vec<(String, f64)> {
+/// Skewed-cost section: each DOALL sentinel is replicated 4 ways and timed
+/// twice, evenly and with the first replica of every replica group slowed
+/// by an injected benign delay. Prints `time(skewed) / time(even)`.
+fn skew_sweep(size: Size, cap: usize) {
     println!("skewed-cost scatter sweep (one replica delayed {SKEW_SPINS} spins/instr, x4)");
     println!(
-        "{:<14} {:>14} {:>14} {:>10}",
-        "workload", "round-robin ms", "stealing ms", "rr/steal"
+        "{:<14} {:>12} {:>12} {:>10}",
+        "workload", "even ms", "skewed ms", "slowdown"
     );
-    let mut pairs = Vec::new();
     for w in paper_suite(size) {
         if !SENTINELS.contains(&w.name) {
             continue;
@@ -248,18 +235,12 @@ fn skew_sweep(size: Size, cap: usize) -> Vec<(String, f64)> {
             .run()
             .unwrap_or_else(|e| panic!("{}: baseline failed: {e}", w.name))
             .memory;
-        let Some((rr, true)) = transform(&w, Replicate::Fixed(4), ScatterPolicy::RoundRobin) else {
+        let Some((p, true)) = transform(&w, Replicate::Fixed(4)) else {
             continue;
         };
-        let Some((ws, true)) = transform(&w, Replicate::Fixed(4), ScatterPolicy::WorkStealing)
-        else {
-            continue;
-        };
-        // Both pipelines have identical thread topology, so one plan —
-        // delay the first replica of every group — fits both.
-        let map = PipelineMap::infer(&ws);
-        let mut plan = FaultPlan::none(ws.num_threads());
-        for g in map.replica_groups(&ws) {
+        let map = PipelineMap::infer(&p);
+        let mut plan = FaultPlan::none(p.num_threads());
+        for g in map.replica_groups(&p) {
             plan = plan.with_delay(
                 g.replica_threads[0],
                 DelayFault {
@@ -268,28 +249,17 @@ fn skew_sweep(size: Size, cap: usize) -> Vec<(String, f64)> {
                 },
             );
         }
-        let cfg = RtConfig::default()
-            .queue_capacity(cap)
-            .batch(BATCH)
-            .faults(plan);
-        let t_rr = timed(&format!("{} rr-skew", w.name), &rr, &expect, &cfg);
-        let t_ws = timed(&format!("{} steal-skew", w.name), &ws, &expect, &cfg);
-        let ratio = t_rr.as_secs_f64() / t_ws.as_secs_f64();
+        let cfg = RtConfig::default().queue_capacity(cap).batch(BATCH);
+        let t_even = timed(&format!("{} even", w.name), &p, &expect, &cfg);
+        let t_skew = timed(&format!("{} skew", w.name), &p, &expect, &cfg.faults(plan));
         println!(
-            "{:<14} {:>14.3} {:>14.3} {:>9.2}x",
+            "{:<14} {:>12.3} {:>12.3} {:>9.2}x",
             w.name,
-            t_rr.as_secs_f64() * 1e3,
-            t_ws.as_secs_f64() * 1e3,
-            ratio
+            t_even.as_secs_f64() * 1e3,
+            t_skew.as_secs_f64() * 1e3,
+            t_skew.as_secs_f64() / t_even.as_secs_f64()
         );
-        pairs.push((format!("{PREFIX}steal/{}/r4", w.name), ratio));
     }
-    if !pairs.is_empty() {
-        let g = geomean(pairs.iter().map(|&(_, v)| v));
-        println!("geomean rr/steal ratio: {g:.2}x");
-        pairs.push((format!("{PREFIX}steal/geomean/r4"), g));
-    }
-    pairs
 }
 
 /// Regression messages vs. the committed baseline (empty = gate passes).
@@ -332,19 +302,8 @@ fn check_against(
                  below the {SENTINEL_FLOOR} floor ({cores} cores available)"
             ));
         }
-        let best_steal = current
-            .iter()
-            .filter(|(k, _)| k.starts_with(&format!("{PREFIX}steal/")))
-            .map(|&(_, v)| v)
-            .fold(f64::NAN, f64::max);
-        if best_steal.is_nan() || best_steal < STEAL_FLOOR {
-            problems.push(format!(
-                "skewed-cost scatter: best work-stealing ratio is {best_steal:.3}, \
-                 below the {STEAL_FLOOR} floor ({cores} cores available)"
-            ));
-        }
     } else {
-        println!("sentinel and stealing floors skipped: only {cores} core(s) available (need 4)");
+        println!("sentinel floor skipped: only {cores} core(s) available (need 4)");
     }
     problems
 }
@@ -376,7 +335,7 @@ fn main() -> ExitCode {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let cases = cases(exp.size);
     let mut pairs = sweep(&cases, cap);
-    pairs.extend(skew_sweep(exp.size, cap));
+    skew_sweep(exp.size, cap);
     let mut gate_failed = false;
 
     if let Some(path) = check_path {
@@ -409,9 +368,7 @@ fn main() -> ExitCode {
                 problems.len(),
                 retry + 1
             );
-            let mut remeasured = sweep(&cases, cap);
-            remeasured.extend(skew_sweep(exp.size, cap));
-            for (key, v) in remeasured {
+            for (key, v) in sweep(&cases, cap) {
                 if let Some((_, best)) = pairs.iter_mut().find(|(k, _)| *k == key) {
                     *best = best.max(v);
                 }
@@ -452,9 +409,7 @@ fn main() -> ExitCode {
             .unwrap_or_default();
         let gate_keys: Vec<(String, f64)> = pairs
             .iter()
-            .filter(|(k, _)| {
-                k.starts_with("replicated/geomean/") || k == "replicated/steal/geomean/r4"
-            })
+            .filter(|(k, _)| k.starts_with("replicated/geomean/"))
             .cloned()
             .collect();
         let merged = json::replace_section(&existing, |k| k.starts_with(PREFIX), &gate_keys);

@@ -119,7 +119,7 @@ pub fn estimated_speedup(
 /// applying a replication `plan` of `(stage, replicas)` pairs: a stage
 /// granted `k` replicas contributes `times[stage] / k`, everything else
 /// contributes its raw time. This is the quantity the `--replicate auto`
-/// water-filling in [`crate::stage_map::Tuner::replica_plans`] minimizes.
+/// water-filling (`replica_plans` in [`crate::replicate`]) minimizes.
 pub fn replicated_bottleneck(stage_times: &[f64], plan: &[(usize, usize)]) -> f64 {
     stage_times
         .iter()

@@ -100,13 +100,10 @@ pub use pipeline::{
     analyze_loop, annotate_loop_affine, dswp_loop, loop_stats, select_loop, DswpOptions,
     DswpReport, LoopAnalysis, LoopStats,
 };
-pub use replicate::{
-    replicable_stages, replicate_stage, Replicate, ReplicationInfo, ScatterPolicy,
-};
+pub use replicate::{replicable_stages, replicate_stage, Replicate, ReplicationInfo};
 pub use schedule::{schedule_function, schedule_program, ScheduleStats};
 pub use stage_map::{
     PipelineMap, PipelineMapError, QueueEndpoints, QueueKind, ReplicaGroup, StageInfo, StageRole,
-    Tuner,
 };
 pub use transform::{apply_dswp, DswpArtifacts, FlowStats};
 pub use unroll::{unroll_counted, unroll_loop};

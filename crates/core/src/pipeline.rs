@@ -25,9 +25,8 @@ use crate::estimate::{estimated_speedup, scc_costs, stage_times};
 use crate::normalize::normalize_loop;
 use crate::partition::{tpp_heuristic, Partitioning, TppOptions};
 use crate::replicate::{
-    replicable_stages, replicate_stage, Replicate, ReplicationInfo, ScatterPolicy,
+    replica_plans, replicable_stages, replicate_stage, Replicate, ReplicationInfo,
 };
-use crate::stage_map::Tuner;
 use crate::transform::{apply_dswp, DswpArtifacts};
 
 /// Options for the DSWP driver.
@@ -70,10 +69,6 @@ pub struct DswpOptions {
     /// assert_eq!(auto.replicate, Replicate::Auto { cores: Some(8) });
     /// ```
     pub replicate: Replicate,
-    /// How each replicated stage's scatter routes iterations to replicas:
-    /// deterministic round-robin (default) or least-loaded work-stealing
-    /// driven by queue-depth feedback.
-    pub scatter: ScatterPolicy,
 }
 
 impl Default for DswpOptions {
@@ -85,7 +80,6 @@ impl Default for DswpOptions {
             latency: LatencyTable::default(),
             partitioning: None,
             replicate: Replicate::Off,
-            scatter: ScatterPolicy::RoundRobin,
         }
     }
 }
@@ -337,11 +331,10 @@ pub fn dswp_loop(
                     .collect(),
                 Replicate::Fixed(_) => Vec::new(),
                 Replicate::Auto { cores } => {
-                    let tuner = match cores {
-                        Some(c) => Tuner::with_cores(c),
-                        None => Tuner::detect(),
-                    };
-                    tuner.replica_plans(&times, &replicable)
+                    let cores = cores.unwrap_or_else(|| {
+                        std::thread::available_parallelism().map_or(1, |n| n.get())
+                    });
+                    replica_plans(&times, &replicable, cores)
                 }
             }
         }
@@ -361,15 +354,7 @@ pub fn dswp_loop(
     let replication: Vec<ReplicationInfo> = repl_plan
         .into_iter()
         .filter_map(|(t, k)| {
-            replicate_stage(
-                program,
-                func,
-                &norm,
-                artifacts.aux_functions[t - 1],
-                t,
-                k,
-                opts.scatter,
-            )
+            replicate_stage(program, func, &norm, artifacts.aux_functions[t - 1], t, k)
         })
         .collect();
     Ok(DswpReport {

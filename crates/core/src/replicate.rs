@@ -12,10 +12,10 @@
 //! * a **scatter** function takes over the replicated stage's original
 //!   hardware context, consuming the stage's upstream queues in iteration
 //!   order and forwarding each iteration's values to a per-replica
-//!   *instance* of every queue — round-robin by default, or to the
-//!   least-loaded replica under [`ScatterPolicy::WorkStealing`] (queue-depth
-//!   feedback through the non-blocking `DEPTH` probe, with the bounded
-//!   instance queues themselves providing per-replica backlog limits);
+//!   *instance* of every queue, routing each iteration to the replica
+//!   with the smallest pending-input backlog (queue-depth feedback through
+//!   the non-blocking `DEPTH` probe, ties to the lowest replica index; the
+//!   bounded instance queues themselves limit each replica's backlog);
 //! * `N` **replica** functions (clones of the stage's auxiliary loop
 //!   function with queue ids remapped to their instance) run on `N` fresh
 //!   contexts;
@@ -34,7 +34,7 @@
 //! replica iteration from a scatter-held copy of the previous iteration's
 //! value. A replica therefore never depends on its own frame surviving
 //! from one of *its* iterations to the next — which would be wrong, since
-//! replica `r` only executes iterations `r, r+N, r+2N, …`.
+//! a replica only executes the iterations routed to it.
 //!
 //! Every queue in the replicated pipeline — instances included — keeps
 //! exactly one producer thread and one consumer thread, so the native
@@ -75,23 +75,6 @@ pub enum Replicate {
     },
 }
 
-/// How a replicated stage's scatter routes iterations to replicas.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScatterPolicy {
-    /// Iteration `j` goes to replica `j mod n` (the default): fully
-    /// deterministic, ideal when every iteration costs about the same.
-    #[default]
-    RoundRobin,
-    /// Each iteration goes to the replica whose pending-input backlog is
-    /// currently smallest (queue-depth feedback via
-    /// [`Op::QueueDepth`]; ties break to the
-    /// lowest replica index). The iteration-tagged gather restores output
-    /// order, so results stay bit-identical to round-robin — only the
-    /// iteration→replica assignment changes. Wins when per-iteration cost
-    /// is skewed.
-    WorkStealing,
-}
-
 /// What replication did, reported in
 /// [`DswpReport`](crate::pipeline::DswpReport).
 #[derive(Clone, Debug)]
@@ -100,18 +83,78 @@ pub struct ReplicationInfo {
     pub stage: usize,
     /// Number of replicas.
     pub replicas: usize,
-    /// How the scatter routes iterations to replicas.
-    pub policy: ScatterPolicy,
     /// The scatter function (runs on the stage's original context).
     pub scatter: FuncId,
     /// The gather function, if the stage produces downstream values.
     pub gather: Option<FuncId>,
-    /// The replica loop functions, in round-robin order.
+    /// The replica loop functions, in replica-index order.
     pub replica_functions: Vec<FuncId>,
     /// Queues allocated by replication (instances, control, masters).
     pub new_queues: usize,
     /// Hardware contexts added (replica masters + optional gather master).
     pub new_threads: usize,
+}
+
+/// Cap on replicas per stage, whatever the core budget.
+pub(crate) const MAX_REPLICAS: usize = 8;
+
+/// Distributes a budget of `cores` hardware threads across *every*
+/// replicable stage for [`Replicate::Auto`]: greedy water-filling on the
+/// static per-stage time estimate. Each round grants one more replica to
+/// the stage with the largest *effective* time (`stage_times[t] / k[t]`),
+/// stopping when the bottleneck is a non-replicable stage, the budget
+/// (`sum k ≤ cores`) is spent, or every stage hit [`MAX_REPLICAS`].
+///
+/// Returns `(stage, replicas)` pairs in stage order, keeping only stages
+/// that actually earned ≥ 2 replicas. Empty when fewer than 2 cores are
+/// assumed or no stage is replicable.
+pub(crate) fn replica_plans(
+    stage_times: &[f64],
+    replicable: &[bool],
+    cores: usize,
+) -> Vec<(usize, usize)> {
+    if cores < 2 {
+        return Vec::new();
+    }
+    let cap = cores.min(MAX_REPLICAS);
+    let repl: Vec<usize> = (0..stage_times.len())
+        .filter(|&t| replicable.get(t).copied().unwrap_or(false))
+        .collect();
+    if repl.is_empty() {
+        return Vec::new();
+    }
+    // Replicating cannot push throughput past the slowest stage that must
+    // stay sequential: that's the water level.
+    let floor = stage_times
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !replicable.get(i).copied().unwrap_or(false))
+        .map(|(_, &x)| x)
+        .fold(0.0_f64, f64::max);
+    let mut k: BTreeMap<usize, usize> = repl.iter().map(|&t| (t, 1)).collect();
+    loop {
+        if k.values().sum::<usize>() >= cores {
+            break;
+        }
+        let Some(t) = repl
+            .iter()
+            .copied()
+            .filter(|&t| k[&t] < cap)
+            .max_by(|&a, &b| {
+                (stage_times[a] / k[&a] as f64).total_cmp(&(stage_times[b] / k[&b] as f64))
+            })
+        else {
+            break;
+        };
+        if stage_times[t] / k[&t] as f64 <= floor {
+            break;
+        }
+        *k.get_mut(&t).unwrap() += 1;
+    }
+    repl.into_iter()
+        .filter(|t| k[t] >= 2)
+        .map(|t| (t, k[&t]))
+        .collect()
 }
 
 /// Marks each pipeline stage as replicable or not.
@@ -407,9 +450,9 @@ fn add_master(program: &mut Program, name: String, mq: QueueId) -> FuncId {
 
 /// Replicates pipeline `stage` (whose auxiliary loop function is
 /// `aux_fid`) `replicas` ways, in place, after [`apply_dswp`] has run.
-/// `policy` selects how the scatter routes iterations (round-robin or
-/// work-stealing); routing never changes observable results, only which
-/// replica runs which iteration.
+/// The scatter routes each iteration to the least-backlogged replica
+/// ([`Op::QueueDepth`] feedback); routing never changes observable
+/// results, only which replica runs which iteration.
 ///
 /// Legality must have been established with [`replicable_stages`] first;
 /// this function additionally verifies the *structural* preconditions on
@@ -430,7 +473,6 @@ pub fn replicate_stage(
     aux_fid: FuncId,
     stage: usize,
     replicas: usize,
-    policy: ScatterPolicy,
 ) -> Option<ReplicationInfo> {
     let n = replicas;
     if n < 2 {
@@ -576,15 +618,15 @@ pub fn replicate_stage(
     }
 
     // ---- scatter ----
-    let steal = policy == ScatterPolicy::WorkStealing;
     let scatter_fid = {
         let mut sf = Function::new(format!("dswp.scatter{stage}"));
         let c = sf.new_reg();
-        let ctr = sf.new_reg();
+        // The chosen replica's index.
+        let pick = sf.new_reg();
         let t = sf.new_reg();
         let v = sf.new_reg();
-        // Work-stealing scratch: the running minimum backlog and the
-        // probed depth of the replica under consideration.
+        // Pick-chain scratch: the running minimum backlog and the probed
+        // depth of the replica under consideration.
         let best = sf.new_reg();
         let d = sf.new_reg();
         let hold: Vec<Option<Reg>> = shape
@@ -598,18 +640,13 @@ pub fn replicate_stage(
         let b_exit = sf.add_block("exit");
         let disp: Vec<BlockId> = (0..n).map(|r| sf.add_block(format!("disp{r}"))).collect();
         let fwd: Vec<BlockId> = (0..n).map(|r| sf.add_block(format!("fwd{r}"))).collect();
-        // Work-stealing pick chain: `pick` seeds the argmin scan with
-        // replica 0, then `chk[r-1]`/`upd[r-1]` fold in replica r. Strict
-        // less-than keeps ties on the lowest index, so the executor (whose
-        // depths are deterministic) routes reproducibly.
-        let (b_pick, chk, upd) = if steal {
-            let pick = sf.add_block("pick");
-            let chk: Vec<BlockId> = (1..n).map(|r| sf.add_block(format!("chk{r}"))).collect();
-            let upd: Vec<BlockId> = (1..n).map(|r| sf.add_block(format!("upd{r}"))).collect();
-            (Some(pick), chk, upd)
-        } else {
-            (None, Vec::new(), Vec::new())
-        };
+        // Pick chain: `b_pick` seeds the argmin scan with replica 0, then
+        // `chk[r-1]`/`upd[r-1]` fold in replica r. Strict less-than keeps
+        // ties on the lowest index, so the executor (whose depths are
+        // deterministic) routes reproducibly.
+        let b_pick = sf.add_block("pick");
+        let chk: Vec<BlockId> = (1..n).map(|r| sf.add_block(format!("chk{r}"))).collect();
+        let upd: Vec<BlockId> = (1..n).map(|r| sf.add_block(format!("upd{r}"))).collect();
         sf.set_entry(b_entry);
         for (k, sq) in scatter_init.iter().enumerate() {
             if let Some(q) = sq {
@@ -622,7 +659,6 @@ pub fn replicate_stage(
                 );
             }
         }
-        sf.append_op(b_entry, Op::Const { dst: ctr, value: 0 });
         sf.append_op(b_entry, Op::Jump { target: b_head });
         // Exit test mirrors the duplicated branch's polarity.
         sf.append_op(
@@ -651,67 +687,71 @@ pub fn replicate_stage(
             Op::Br {
                 cond: t,
                 then_: b_exit,
-                else_: b_pick.unwrap_or(disp[0]),
+                else_: b_pick,
             },
         );
-        if let Some(b_pick) = b_pick {
+        sf.append_op(
+            b_pick,
+            Op::QueueDepth {
+                dst: best,
+                queue: flag_inst[0],
+            },
+        );
+        sf.append_op(
+            b_pick,
+            Op::Const {
+                dst: pick,
+                value: 0,
+            },
+        );
+        sf.append_op(
+            b_pick,
+            Op::Jump {
+                target: *chk.first().unwrap_or(&disp[0]),
+            },
+        );
+        for r in 1..n {
+            let next = *chk.get(r).unwrap_or(&disp[0]);
             sf.append_op(
-                b_pick,
+                chk[r - 1],
                 Op::QueueDepth {
-                    dst: best,
-                    queue: flag_inst[0],
+                    dst: d,
+                    queue: flag_inst[r],
                 },
             );
-            sf.append_op(b_pick, Op::Const { dst: ctr, value: 0 });
             sf.append_op(
-                b_pick,
-                Op::Jump {
-                    target: *chk.first().unwrap_or(&disp[0]),
+                chk[r - 1],
+                Op::Cmp {
+                    dst: t,
+                    op: CmpOp::Lt,
+                    lhs: d.into(),
+                    rhs: best.into(),
                 },
             );
-            for r in 1..n {
-                let next = *chk.get(r).unwrap_or(&disp[0]);
-                sf.append_op(
-                    chk[r - 1],
-                    Op::QueueDepth {
-                        dst: d,
-                        queue: flag_inst[r],
-                    },
-                );
-                sf.append_op(
-                    chk[r - 1],
-                    Op::Cmp {
-                        dst: t,
-                        op: CmpOp::Lt,
-                        lhs: d.into(),
-                        rhs: best.into(),
-                    },
-                );
-                sf.append_op(
-                    chk[r - 1],
-                    Op::Br {
-                        cond: t,
-                        then_: upd[r - 1],
-                        else_: next,
-                    },
-                );
-                sf.append_op(
-                    upd[r - 1],
-                    Op::Unary {
-                        dst: best,
-                        op: dswp_ir::UnOp::Mov,
-                        src: d.into(),
-                    },
-                );
-                sf.append_op(
-                    upd[r - 1],
-                    Op::Const {
-                        dst: ctr,
-                        value: r as i64,
-                    },
-                );
-                sf.append_op(upd[r - 1], Op::Jump { target: next });
-            }
+            sf.append_op(
+                chk[r - 1],
+                Op::Br {
+                    cond: t,
+                    then_: upd[r - 1],
+                    else_: next,
+                },
+            );
+            sf.append_op(
+                upd[r - 1],
+                Op::Unary {
+                    dst: best,
+                    op: dswp_ir::UnOp::Mov,
+                    src: d.into(),
+                },
+            );
+            sf.append_op(
+                upd[r - 1],
+                Op::Const {
+                    dst: pick,
+                    value: r as i64,
+                },
+            );
+            sf.append_op(upd[r - 1], Op::Jump { target: next });
         }
         for r in 0..n {
             if r + 1 < n {
@@ -720,7 +760,7 @@ pub fn replicate_stage(
                     Op::Cmp {
                         dst: t,
                         op: CmpOp::Eq,
-                        lhs: ctr.into(),
+                        lhs: pick.into(),
                         rhs: (r as i64).into(),
                     },
                 );
@@ -807,26 +847,6 @@ pub fn replicate_stage(
             }
             sf.append_op(fwd[r], Op::Jump { target: b_step });
         }
-        if !steal {
-            sf.append_op(
-                b_step,
-                Op::Binary {
-                    dst: ctr,
-                    op: BinOp::Add,
-                    lhs: ctr.into(),
-                    rhs: 1.into(),
-                },
-            );
-            sf.append_op(
-                b_step,
-                Op::Binary {
-                    dst: ctr,
-                    op: BinOp::Rem,
-                    lhs: ctr.into(),
-                    rhs: (n as i64).into(),
-                },
-            );
-        }
         sf.append_op(b_step, Op::Jump { target: b_head });
         for &q in &flag_inst {
             sf.append_op(
@@ -891,8 +911,8 @@ pub fn replicate_stage(
             },
         );
         // The control tag carries the scatter's routing decision: replica
-        // index plus one. Decoding it here keeps the gather agnostic to
-        // whether the scatter ran round-robin or work-stealing.
+        // index plus one. Decoding it here keeps the gather independent of
+        // how the scatter picked the replica.
         gf.append_op(
             b_tag,
             Op::Binary {
@@ -1063,11 +1083,42 @@ pub fn replicate_stage(
     Some(ReplicationInfo {
         stage,
         replicas: n,
-        policy,
         scatter: scatter_fid,
         gather: gather_fid,
         replica_functions: replica_fids,
         new_queues: (program.num_queues - queues_before) as usize,
         new_threads: n + usize::from(has_gather),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replica_plans_water_fill_to_the_sequential_floor() {
+        // Stage 1 (40) fills until its per-replica time reaches the
+        // non-replicable floor (stage 0, 10): 40 / 4 = 10.
+        assert_eq!(
+            replica_plans(&[10.0, 40.0, 5.0], &[false, true, false], 8),
+            vec![(1, 4)]
+        );
+        // The core budget stops the fill first.
+        assert_eq!(
+            replica_plans(&[10.0, 40.0, 5.0], &[false, true, false], 3),
+            vec![(1, 3)]
+        );
+        // So does the per-stage cap.
+        assert_eq!(
+            replica_plans(&[1.0, 1000.0], &[false, true], 64),
+            vec![(1, MAX_REPLICAS)]
+        );
+        // Each round feeds the stage with the worst per-replica time.
+        assert_eq!(
+            replica_plans(&[1.0, 30.0, 20.0], &[false, true, true], 4),
+            vec![(1, 2), (2, 2)]
+        );
+        assert!(replica_plans(&[10.0, 40.0], &[false, true], 1).is_empty());
+        assert!(replica_plans(&[10.0, 40.0], &[false, false], 8).is_empty());
+    }
 }

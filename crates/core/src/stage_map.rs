@@ -310,10 +310,23 @@ impl PipelineMap {
     }
 
     /// Per-queue communication batch (chunk) sizes for a requested base
-    /// batch, one entry per queue id. Delegates to
-    /// [`Tuner::queue_batches`]; kept as a method for convenience.
+    /// batch, one entry per queue id.
+    ///
+    /// Data and mixed queues get the full `batch`; token queues are capped
+    /// at 4 (a token's whole job is to release a waiting peer — sitting on
+    /// a deep chunk of them only defers that); unused queues get 1. The
+    /// result plugs straight into the native runtime's per-queue batch
+    /// override.
     pub fn batch_hints(&self, batch: usize) -> Vec<usize> {
-        Tuner::detect().queue_batches(self, batch)
+        let batch = batch.max(1);
+        self.queues
+            .iter()
+            .map(|ep| match ep.kind {
+                QueueKind::Data | QueueKind::Mixed => batch,
+                QueueKind::Token => batch.clamp(1, 4),
+                QueueKind::Unused => 1,
+            })
+            .collect()
     }
 
     /// The role each hardware context plays, recovered from the
@@ -359,7 +372,7 @@ impl PipelineMap {
     }
 
     /// Groups the contexts belonging to each replicated stage: the scatter
-    /// context, the replica contexts (in round-robin order), the optional
+    /// context, the replica contexts (in replica-index order), the optional
     /// gather context, and the queue sets the scatter feeds / the gather
     /// drains. Empty when the program is unreplicated.
     pub fn replica_groups(&self, program: &Program) -> Vec<ReplicaGroup> {
@@ -444,14 +457,14 @@ pub enum StageRole {
     Main,
     /// An ordinary pipeline stage's master context.
     Stage(usize),
-    /// The round-robin scatter of a replicated stage (runs on the stage's
-    /// original master context).
+    /// The scatter of a replicated stage (runs on the stage's original
+    /// master context).
     Scatter(usize),
     /// One replica of a replicated stage.
     Replica {
         /// The replicated stage.
         stage: usize,
-        /// Round-robin position among the stage's replicas.
+        /// Index among the stage's replicas (`r` in `dswp.master{t}.r{r}`).
         index: usize,
     },
     /// The in-order gather of a replicated stage.
@@ -466,7 +479,7 @@ pub struct ReplicaGroup {
     pub stage: usize,
     /// Context running the scatter.
     pub scatter_thread: usize,
-    /// Contexts running the replicas, in round-robin order.
+    /// Contexts running the replicas, in replica-index order.
     pub replica_threads: Vec<usize>,
     /// Context running the gather, when the stage feeds later stages.
     pub gather_thread: Option<usize>,
@@ -485,145 +498,6 @@ impl ReplicaGroup {
         v.extend(&self.replica_threads);
         v.extend(self.gather_thread);
         v
-    }
-}
-
-/// Shared tuning knobs for the runtime hints derived from a
-/// [`PipelineMap`]: `--batch auto` and `--replicate auto` both consult one
-/// `Tuner` instead of each walking the map with private policy.
-#[derive(Clone, Copy, Debug)]
-pub struct Tuner {
-    /// Hardware threads assumed available.
-    pub cores: usize,
-    /// Upper bound on replicas per stage regardless of core count.
-    pub max_replicas: usize,
-}
-
-impl Tuner {
-    /// Default cap on replicas per stage.
-    pub const DEFAULT_MAX_REPLICAS: usize = 8;
-
-    /// A tuner for an assumed number of hardware threads.
-    pub fn with_cores(cores: usize) -> Self {
-        Tuner {
-            cores,
-            max_replicas: Self::DEFAULT_MAX_REPLICAS,
-        }
-    }
-
-    /// A tuner for the detected hardware
-    /// ([`std::thread::available_parallelism`], 1 when unknown).
-    pub fn detect() -> Self {
-        Self::with_cores(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
-    /// Per-queue communication batch (chunk) sizes for a requested base
-    /// batch, one entry per queue id.
-    ///
-    /// Data and mixed queues get the full `batch`; token queues are capped
-    /// at 4 (a token's whole job is to release a waiting peer — sitting on
-    /// a deep chunk of them only defers that); unused queues get 1. The
-    /// result plugs straight into the native runtime's per-queue batch
-    /// override.
-    pub fn queue_batches(&self, map: &PipelineMap, batch: usize) -> Vec<usize> {
-        let batch = batch.max(1);
-        map.queues
-            .iter()
-            .map(|ep| match ep.kind {
-                QueueKind::Data | QueueKind::Mixed => batch,
-                QueueKind::Token => batch.clamp(1, 4),
-                QueueKind::Unused => 1,
-            })
-            .collect()
-    }
-
-    /// Picks `(stage, replicas)` for `--replicate auto` from the static
-    /// per-stage time estimate: the heaviest replicable stage, replicated
-    /// just enough that its per-iteration cost drops below the
-    /// next-slowest stage's, capped by `cores` and
-    /// [`max_replicas`](Self::max_replicas). `None` when no replicable
-    /// stage is the bottleneck or fewer than 2 cores are assumed.
-    pub fn replica_plan(&self, stage_times: &[f64], replicable: &[bool]) -> Option<(usize, usize)> {
-        if self.cores < 2 {
-            return None;
-        }
-        let cap = self.cores.min(self.max_replicas).max(2);
-        let t = (0..stage_times.len())
-            .filter(|&t| replicable.get(t).copied().unwrap_or(false))
-            .max_by(|&a, &b| stage_times[a].total_cmp(&stage_times[b]))?;
-        let next = stage_times
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != t)
-            .map(|(_, &x)| x)
-            .fold(0.0_f64, f64::max);
-        if stage_times[t] <= next {
-            return None;
-        }
-        let k = (2..=cap)
-            .find(|&k| stage_times[t] / k as f64 <= next)
-            .unwrap_or(cap);
-        Some((t, k))
-    }
-
-    /// Distributes a total-core budget across *every* replicable stage for
-    /// `--replicate auto`: greedy water-filling on the static per-stage
-    /// time estimate. Each round grants one more replica to the stage with
-    /// the largest *effective* time (`stage_times[t] / k[t]`), stopping
-    /// when the bottleneck is a non-replicable stage, the budget
-    /// (`sum k ≤ cores`) is spent, or every stage hit
-    /// [`max_replicas`](Self::max_replicas).
-    ///
-    /// Returns `(stage, replicas)` pairs in stage order, keeping only
-    /// stages that actually earned ≥ 2 replicas. Empty when fewer than 2
-    /// cores are assumed or no stage is replicable.
-    pub fn replica_plans(&self, stage_times: &[f64], replicable: &[bool]) -> Vec<(usize, usize)> {
-        if self.cores < 2 {
-            return Vec::new();
-        }
-        let cap = self.cores.min(self.max_replicas).max(2);
-        let repl: Vec<usize> = (0..stage_times.len())
-            .filter(|&t| replicable.get(t).copied().unwrap_or(false))
-            .collect();
-        if repl.is_empty() {
-            return Vec::new();
-        }
-        // Replicating cannot push throughput past the slowest stage that
-        // must stay sequential: that's the water level.
-        let floor = stage_times
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !replicable.get(i).copied().unwrap_or(false))
-            .map(|(_, &x)| x)
-            .fold(0.0_f64, f64::max);
-        let mut k: BTreeMap<usize, usize> = repl.iter().map(|&t| (t, 1)).collect();
-        loop {
-            if k.values().sum::<usize>() >= self.cores {
-                break;
-            }
-            let Some(t) = repl
-                .iter()
-                .copied()
-                .filter(|&t| k[&t] < cap)
-                .max_by(|&a, &b| {
-                    (stage_times[a] / k[&a] as f64).total_cmp(&(stage_times[b] / k[&b] as f64))
-                })
-            else {
-                break;
-            };
-            if stage_times[t] / k[&t] as f64 <= floor {
-                break;
-            }
-            *k.get_mut(&t).unwrap() += 1;
-        }
-        repl.into_iter()
-            .filter(|t| k[t] >= 2)
-            .map(|t| (t, k[&t]))
-            .collect()
     }
 }
 

@@ -347,11 +347,6 @@ pub struct RtConfig {
     /// Deterministic fault-injection plan (chaos testing). `None` = no
     /// faults, zero overhead on the worker hot path beyond a branch.
     pub faults: Option<FaultPlan>,
-    /// Busy-spin iterations on a blocked queue operation before yielding.
-    pub spins: u32,
-    /// `yield_now` iterations after spinning before parking on the monitor
-    /// condvar.
-    pub yields: u32,
 }
 
 impl Default for RtConfig {
@@ -366,8 +361,6 @@ impl Default for RtConfig {
             deadline: None,
             cancel: None,
             faults: None,
-            spins: 64,
-            yields: 32,
         }
     }
 }
@@ -432,14 +425,6 @@ impl RtConfig {
     /// Attaches a deterministic fault-injection plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Tunes the blocked-queue backoff: `spins` busy-spin iterations, then
-    /// `yields` scheduler yields, then park on the monitor condvar.
-    pub fn spin(mut self, spins: u32, yields: u32) -> Self {
-        self.spins = spins;
-        self.yields = yields;
         self
     }
 }
@@ -569,8 +554,6 @@ impl<'p> Runtime<'p> {
             progress: AtomicU64::new(0),
             stage_steps: (0..num_threads).map(|_| AtomicU64::new(0)).collect(),
             faults: self.config.faults.as_ref(),
-            spins: self.config.spins,
-            yields: self.config.yields,
         };
 
         let started = Instant::now();

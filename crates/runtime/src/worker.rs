@@ -64,6 +64,10 @@ use crate::RtError;
 /// abort-flag checks, progress heartbeats, and opportunistic flushes of
 /// lingering output buffers.
 const STEP_BATCH: u64 = 1024;
+/// Busy-spin iterations on a blocked queue before yielding.
+const SPINS: u32 = 64;
+/// `yield_now` iterations after spinning before parking on the monitor.
+const YIELDS: u32 = 32;
 
 /// Everything the stage threads share. Borrows the program for the scope of
 /// the run (`std::thread::scope`).
@@ -89,12 +93,6 @@ pub(crate) struct Shared<'p> {
     pub stage_steps: Vec<AtomicU64>,
     /// Fault-injection plan, if any.
     pub faults: Option<&'p FaultPlan>,
-    /// Busy-spin iterations on a blocked queue before yielding
-    /// ([`RtConfig::spins`](crate::RtConfig::spins)).
-    pub spins: u32,
-    /// `yield_now` iterations after spinning before parking
-    /// ([`RtConfig::yields`](crate::RtConfig::yields)).
-    pub yields: u32,
 }
 
 /// How a worker's loop ended.
@@ -383,9 +381,9 @@ fn comm_wait(
             side_flush(shared, out);
             backoff.retries += 1;
             tries += 1;
-            if tries <= shared.spins {
+            if tries <= SPINS {
                 std::hint::spin_loop();
-            } else if tries <= shared.spins + shared.yields {
+            } else if tries <= SPINS + YIELDS {
                 std::thread::yield_now();
             } else {
                 tries = 0;

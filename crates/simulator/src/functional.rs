@@ -165,14 +165,13 @@ impl<'p> Executor<'p> {
                         &mut memory,
                         &mut queues,
                         &mut streams,
+                        &mut max_occ,
                         t,
                     )? {
                         StepOutcome::Progress => {
                             steps[t] += 1;
                             total_steps += 1;
                             any_progress = true;
-                            let occ = queues.iter().map(VecDeque::len).max().unwrap_or(0);
-                            max_occ = max_occ.max(occ);
                         }
                         StepOutcome::Blocked => break,
                         StepOutcome::Halted => {
@@ -228,6 +227,7 @@ fn step(
     memory: &mut [i64],
     queues: &mut [VecDeque<i64>],
     streams: &mut [Vec<i64>],
+    max_occ: &mut usize,
     thread: usize,
 ) -> Result<StepOutcome, ExecError> {
     let frame = ctx.stack.last_mut().expect("live context has a frame");
@@ -326,6 +326,7 @@ fn step(
             let v = read_operand(src, &frame.regs);
             queues[queue.index()].push_back(v);
             streams[queue.index()].push(v);
+            *max_occ = (*max_occ).max(queues[queue.index()].len());
             frame.index += 1;
         }
         Op::Consume { queue, dst } => {
@@ -338,6 +339,7 @@ fn step(
         Op::ProduceToken { queue } => {
             queues[queue.index()].push_back(0);
             streams[queue.index()].push(0);
+            *max_occ = (*max_occ).max(queues[queue.index()].len());
             frame.index += 1;
         }
         Op::ConsumeToken { queue } => {
@@ -429,6 +431,48 @@ mod tests {
         assert_eq!(r.memory[0], 4950);
         assert!(r.steps[0] > 0 && r.steps[1] > 0);
         assert!(r.max_queue_occupancy >= 1);
+    }
+
+    #[test]
+    fn max_queue_occupancy_counts_data_and_token_produces() {
+        // Main fills queue 0 with two values and queue 1 with three tokens
+        // before blocking on queue 2; the aux thread drains both and
+        // answers with their sum. The deepest queue is the token queue.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let e = f.entry_block();
+        let (x, r, base) = (f.reg(), f.reg(), f.reg());
+        f.switch_to(e);
+        f.iconst(x, 7);
+        f.iconst(base, 0);
+        f.produce(QueueId(0), x);
+        f.produce(QueueId(0), x);
+        for _ in 0..3 {
+            f.produce_token(QueueId(1));
+        }
+        f.consume(r, QueueId(2));
+        f.store(r, base, 0);
+        f.halt();
+        let main = f.finish();
+        let mut g = pb.function("aux");
+        let e2 = g.entry_block();
+        let (a, b, sum) = (g.reg(), g.reg(), g.reg());
+        g.switch_to(e2);
+        g.consume(a, QueueId(0));
+        g.consume(b, QueueId(0));
+        for _ in 0..3 {
+            g.consume_token(QueueId(1));
+        }
+        g.add(sum, a, b);
+        g.produce(QueueId(2), sum);
+        g.halt();
+        let aux = g.finish();
+        let mut p = pb.finish(main, 1);
+        p.num_queues = 3;
+        p.add_thread(aux);
+        let res = Executor::new(&p).run().unwrap();
+        assert_eq!(res.memory[0], 14);
+        assert_eq!(res.max_queue_occupancy, 3);
     }
 
     #[test]

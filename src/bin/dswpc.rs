@@ -28,12 +28,6 @@
 //!                          distributes the available cores across the
 //!                          DOALL stages by the stage cost estimate;
 //!                          requires `--dswp --alias precise`)
-//!   --steal on|off         scatter routing for replicated stages: `on`
-//!                          sends each iteration to the least-loaded
-//!                          replica (queue-depth feedback), `off` keeps
-//!                          deterministic round-robin (default off)
-//!   --spin SPINS,YIELDS    native blocked-queue backoff: busy-spin then
-//!                          yield iterations before parking (default 64,32)
 //!   --chaos SEED           run `--run native` under the seeded fault plan
 //!                          (delays, stalls, forced panics, poisoning)
 //!   --deadline MS          hard wall-clock deadline for `--run native`;
@@ -53,7 +47,7 @@ use dswp_repro::analysis::{AliasMode, DagScc};
 use dswp_repro::dswp::PipelineMap;
 use dswp_repro::dswp::{
     analyze_loop, annotate_loop_affine, dswp_loop, loop_stats, select_loop, unroll_loop,
-    DswpOptions, Replicate, ScatterPolicy,
+    DswpOptions, Replicate,
 };
 use dswp_repro::ir::interp::Interpreter;
 use dswp_repro::ir::verify::verify_program;
@@ -83,8 +77,6 @@ struct Args {
     queue_cap: usize,
     batch: Option<BatchPolicy>,
     replicate: Replicate,
-    steal: ScatterPolicy,
-    spin: Option<(u32, u32)>,
     chaos: Option<u64>,
     deadline: Option<std::time::Duration>,
 }
@@ -112,8 +104,7 @@ const USAGE: &str = "usage: dswpc <file.ir> [--dswp] [--loop bbN] [--unroll K] \
      [--alias conservative|region|precise] [--threads N] [--stats] \
      [--dot FILE] [--emit FILE] [--sim [full|half]] [--comm N] \
      [--run [functional|native]] [--queue-cap N] [--batch N|auto] \
-     [--replicate N|auto] [--steal on|off] [--spin SPINS,YIELDS] \
-     [--chaos SEED] [--deadline MS]";
+     [--replicate N|auto] [--chaos SEED] [--deadline MS]";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -137,8 +128,6 @@ fn parse_args() -> Args {
         queue_cap: 32,
         batch: None,
         replicate: Replicate::Off,
-        steal: ScatterPolicy::RoundRobin,
-        spin: None,
         chaos: None,
         deadline: None,
     };
@@ -194,21 +183,6 @@ fn parse_args() -> Args {
                     ),
                     None => usage(),
                 };
-            }
-            "--steal" => {
-                args.steal = match it.next().as_deref() {
-                    Some("on") => ScatterPolicy::WorkStealing,
-                    Some("off") => ScatterPolicy::RoundRobin,
-                    _ => usage(),
-                };
-            }
-            "--spin" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                let (s, y) = v.split_once(',').unwrap_or_else(|| usage());
-                args.spin = Some((
-                    s.parse::<u32>().unwrap_or_else(|_| usage()),
-                    y.parse::<u32>().unwrap_or_else(|_| usage()),
-                ));
             }
             "--chaos" => {
                 args.chaos = Some(
@@ -398,7 +372,6 @@ fn main() -> ExitCode {
                 alias: args.alias,
                 max_threads: args.threads,
                 replicate: args.replicate,
-                scatter: args.steal,
                 ..DswpOptions::default()
             };
             match dswp_loop(&mut program, main_fn, header, &profile, &opts) {
@@ -414,18 +387,13 @@ fn main() -> ExitCode {
                     );
                     for info in &report.replication {
                         eprintln!(
-                            "replicate: stage {} x{} ({} new queue(s), {} new thread(s){}{})",
+                            "replicate: stage {} x{} ({} new queue(s), {} new thread(s){})",
                             info.stage,
                             info.replicas,
                             info.new_queues,
                             info.new_threads,
                             if info.gather.is_some() {
                                 ", gathered"
-                            } else {
-                                ""
-                            },
-                            if info.policy == ScatterPolicy::WorkStealing {
-                                ", stealing"
                             } else {
                                 ""
                             }
@@ -480,9 +448,6 @@ fn main() -> ExitCode {
                 let hints = map.batch_hints(base);
                 eprintln!("batch: base {base}, per-queue {hints:?}");
                 cfg = cfg.queue_batches(hints);
-            }
-            if let Some((spins, yields)) = args.spin {
-                cfg = cfg.spin(spins, yields);
             }
             if let Some(deadline) = args.deadline {
                 cfg = cfg.deadline(deadline);

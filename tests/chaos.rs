@@ -5,7 +5,9 @@
 //! fault plan, a native run either
 //!
 //! * completes and matches the interpreter/oracle results **exactly**
-//!   (memory, entry registers, queue streams, per-context step counts) —
+//!   (memory, entry registers, queue streams, per-context step counts;
+//!   inside a replica group, where native routing follows real queue
+//!   depth, the value multisets and summed replica steps) —
 //!   mandatory for benign plans, and also required when a lethal fault
 //!   never fired (e.g. a forced panic scheduled past the stage's retired
 //!   instruction count); or
@@ -24,6 +26,9 @@
 
 use std::time::Duration;
 
+mod common;
+
+use common::assert_native_matches_executor;
 use dswp_repro::dswp::{dswp_loop, DswpOptions};
 use dswp_repro::ir::interp::Interpreter;
 use dswp_repro::ir::Program;
@@ -116,23 +121,11 @@ fn chaos_run(
                 // Completion — with or without a (never-fired) lethal fault
                 // — must be indistinguishable from the clean run.
                 completed += 1;
-                assert_eq!(
-                    r.memory, oracle.memory,
-                    "{name}: memory diverged under {plan}"
-                );
-                assert_eq!(
-                    r.entry_regs, oracle.entry_regs,
-                    "{name}: entry regs diverged under {plan}"
-                );
-                assert_eq!(
-                    r.streams.as_ref().expect("streams recorded"),
-                    &oracle.streams,
-                    "{name}: streams diverged under {plan}"
-                );
-                let steps: Vec<u64> = r.stages.iter().map(|s| s.steps).collect();
-                assert_eq!(
-                    steps, oracle.steps,
-                    "{name}: step counts diverged under {plan}"
+                assert_native_matches_executor(
+                    &format!("{name} under {plan}"),
+                    program,
+                    oracle,
+                    &r,
                 );
             }
             Err(e) => {

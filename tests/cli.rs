@@ -198,8 +198,6 @@ fn replicated_pipeline_runs_natively_with_correct_memory() {
         "precise",
         "--replicate",
         "2",
-        "--spin",
-        "16,8",
         "--run",
         "native",
     ]);
@@ -216,11 +214,11 @@ fn replicated_pipeline_runs_natively_with_correct_memory() {
 }
 
 #[test]
-fn bad_replicate_and_spin_arguments_exit_with_usage() {
+fn bad_replicate_arguments_exit_with_usage() {
     for args in [
         vec![fixture("doall.ir"), "--replicate".into(), "0".into()],
-        vec![fixture("doall.ir"), "--spin".into(), "64".into()],
-        vec![fixture("doall.ir"), "--spin".into(), "a,b".into()],
+        vec![fixture("doall.ir"), "--replicate".into(), "two".into()],
+        vec![fixture("doall.ir"), "--replicate".into()],
     ] {
         let argv: Vec<&str> = args.iter().map(String::as_str).collect();
         let out = dswpc(&argv);

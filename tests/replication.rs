@@ -4,14 +4,17 @@
 //! The replicated pipeline must be *observably identical* to the
 //! unreplicated one (and hence to the original sequential loop): same
 //! final memory, same main-context registers, and — because the gather
-//! restores iteration order — the same value stream on every pre-existing
-//! queue. The property test drives randomly generated DOALL-shaped loops
-//! through random replica counts and queue capacities on all three
-//! engines.
+//! restores iteration order — the same value stream on every queue outside
+//! the replica groups. The property tests drive randomly generated
+//! DOALL-shaped loops through random replica counts and queue capacities
+//! on all three engines.
 
+mod common;
+
+use common::assert_native_matches_executor;
 use dswp_repro::analysis::AliasMode;
 use dswp_repro::dswp::{
-    annotate_loop_affine, dswp_loop, DswpOptions, DswpReport, PipelineMap, Replicate, ScatterPolicy,
+    annotate_loop_affine, dswp_loop, DswpOptions, DswpReport, PipelineMap, Replicate,
 };
 use dswp_repro::ir::interp::Interpreter;
 use dswp_repro::ir::{BinOp, Program, ProgramBuilder, RegionId};
@@ -29,7 +32,6 @@ fn transform_replicated(
     program: &Program,
     header: dswp_repro::ir::BlockId,
     replicate: Replicate,
-    scatter: ScatterPolicy,
     max_threads: usize,
 ) -> (Program, Vec<i64>, DswpReport) {
     let baseline = Interpreter::new(program).run().expect("baseline");
@@ -39,24 +41,11 @@ fn transform_replicated(
     let opts = DswpOptions {
         alias: AliasMode::Precise,
         replicate,
-        scatter,
         max_threads,
         ..DswpOptions::default()
     };
     let report = dswp_loop(&mut p, main, header, &baseline.profile, &opts).expect("dswp");
     (p, baseline.memory, report)
-}
-
-/// Number of queues the pipeline had before replication added its
-/// per-replica instances and control queues: on those original queues the
-/// value streams must be identical no matter how iterations were routed.
-fn original_queues(p: &Program, report: &DswpReport) -> usize {
-    p.num_queues as usize
-        - report
-            .replication
-            .iter()
-            .map(|i| i.new_queues)
-            .sum::<usize>()
 }
 
 /// Generates a random DOALL-shaped loop: `for i in 0..n { out[i] =
@@ -206,9 +195,9 @@ fn random_two_stage_doall(rng: &mut Rng, n: i64) -> Program {
     pb.finish_with_memory(main, mem)
 }
 
-/// Runs `p` on the executor and the native runtime and checks both against
-/// the interpreter-baseline memory, including queue streams and
-/// per-context retired-step counts (native vs executor).
+/// Runs `p` on the executor and the native runtime, checks both against
+/// the interpreter-baseline memory, and compares the two runs on
+/// everything routing cannot change (see [`assert_native_matches_executor`]).
 fn check_all_engines(ctx: &str, p: &Program, baseline_memory: &[i64], cfg: RtConfig) {
     let exec = Executor::new(p)
         .run()
@@ -218,61 +207,15 @@ fn check_all_engines(ctx: &str, p: &Program, baseline_memory: &[i64], cfg: RtCon
         .with_config(cfg.record_streams(true))
         .run()
         .unwrap_or_else(|e| panic!("{ctx}: native runtime failed: {e}"));
-    assert_eq!(native.memory, baseline_memory, "{ctx}: native memory");
-    assert_eq!(native.entry_regs, exec.entry_regs, "{ctx}: entry regs");
-    assert_eq!(
-        native.streams.as_ref().unwrap(),
-        &exec.streams,
-        "{ctx}: queue streams"
-    );
-    let steps: Vec<u64> = native.stages.iter().map(|s| s.steps).collect();
-    assert_eq!(steps, exec.steps, "{ctx}: per-context steps");
-}
-
-/// The work-stealing analogue of [`check_all_engines`]: under
-/// `ScatterPolicy::WorkStealing` the native scatter's routing depends on
-/// real queue occupancy, so per-context step counts and the streams of the
-/// replication-internal queues legitimately differ between engines. What
-/// may *never* differ: final memory, main-context registers, and the value
-/// stream of every queue that existed before replication (the gather
-/// restores iteration order regardless of routing).
-fn check_engines_stealing(
-    ctx: &str,
-    p: &Program,
-    baseline_memory: &[i64],
-    cfg: RtConfig,
-    original_queues: usize,
-) {
-    let exec = Executor::new(p)
-        .run()
-        .unwrap_or_else(|e| panic!("{ctx}: executor failed: {e}"));
-    assert_eq!(exec.memory, baseline_memory, "{ctx}: executor memory");
-    let native = Runtime::new(p)
-        .with_config(cfg.record_streams(true))
-        .run()
-        .unwrap_or_else(|e| panic!("{ctx}: native runtime failed: {e}"));
-    assert_eq!(native.memory, baseline_memory, "{ctx}: native memory");
-    assert_eq!(native.entry_regs, exec.entry_regs, "{ctx}: entry regs");
-    let native_streams = native.streams.as_ref().unwrap();
-    for (q, native_stream) in native_streams.iter().enumerate().take(original_queues) {
-        assert_eq!(
-            *native_stream, exec.streams[q],
-            "{ctx}: stream of pre-existing queue {q}"
-        );
-    }
+    assert_native_matches_executor(ctx, p, &exec, &native);
 }
 
 #[test]
 fn replicated_compress_matches_interpreter() {
     let w = dswp_repro::workloads::compress::build(Size::Test);
     for replicas in [2usize, 3, 4] {
-        let (p, mem, report) = transform_replicated(
-            &w.program,
-            w.header,
-            Replicate::Fixed(replicas),
-            ScatterPolicy::RoundRobin,
-            2,
-        );
+        let (p, mem, report) =
+            transform_replicated(&w.program, w.header, Replicate::Fixed(replicas), 2);
         assert!(
             !report.replication.is_empty(),
             "compress must replicate at {replicas}"
@@ -299,7 +242,6 @@ fn replication_property_random_doall_loops() {
             &p,
             dswp_repro::ir::BlockId(1),
             Replicate::Fixed(replicas),
-            ScatterPolicy::RoundRobin,
             2,
         );
         if !report.replication.is_empty() {
@@ -347,7 +289,6 @@ fn multi_stage_replication_composes() {
             &p,
             dswp_repro::ir::BlockId(1),
             Replicate::Fixed(replicas),
-            ScatterPolicy::RoundRobin,
             3,
         );
         if report.replication.len() >= 2 {
@@ -373,14 +314,12 @@ fn multi_stage_replication_composes() {
     );
 }
 
-/// Work-stealing scatter: for random single- and multi-stage DOALL
-/// pipelines across replica counts and capacities, the stealing pipeline's
-/// observable results are bit-identical to round-robin's on every engine —
-/// even when one replica per group is artificially slowed (a benign
-/// injected delay), which is exactly the skew that makes the routing
-/// policies dispatch differently.
+/// Skewed replicas: for random single- and multi-stage DOALL pipelines
+/// across replica counts and capacities, the first replica of every group
+/// is slowed by a benign injected delay, so the scatter's depth feedback
+/// routes iterations around it. Results must not move.
 #[test]
-fn work_stealing_matches_round_robin() {
+fn skewed_replicas_match_oracle() {
     let mut rng = Rng::new(0x57EA_11B5);
     let mut exercised = 0;
     let cases = dswp_testutil::cases(8);
@@ -392,60 +331,19 @@ fn work_stealing_matches_round_robin() {
         };
         let replicas = rng.range(2, 5);
         let capacity = *rng.pick(&[2usize, 4, 8]);
-        let header = dswp_repro::ir::BlockId(1);
-        let (rr, mem, rep_rr) = transform_replicated(
+        let (tp, mem, report) = transform_replicated(
             &p,
-            header,
+            dswp_repro::ir::BlockId(1),
             Replicate::Fixed(replicas),
-            ScatterPolicy::RoundRobin,
             threads,
         );
-        let (ws, mem_ws, rep_ws) = transform_replicated(
-            &p,
-            header,
-            Replicate::Fixed(replicas),
-            ScatterPolicy::WorkStealing,
-            threads,
-        );
-        assert_eq!(mem, mem_ws, "case {case}: baselines differ");
-        assert_eq!(
-            rep_rr.replication.len(),
-            rep_ws.replication.len(),
-            "case {case}: policies replicated different stage sets"
-        );
-        if rep_ws.replication.is_empty() {
+        if report.replication.is_empty() {
             continue;
         }
         exercised += 1;
-
-        // Deterministic executor: both policies, bit-identical observables
-        // on every queue that existed before replication.
-        let e_rr = Executor::new(&rr)
-            .run()
-            .unwrap_or_else(|e| panic!("case {case}: round-robin executor failed: {e}"));
-        let e_ws = Executor::new(&ws)
-            .run()
-            .unwrap_or_else(|e| panic!("case {case}: stealing executor failed: {e}"));
-        assert_eq!(e_rr.memory, mem, "case {case}: round-robin memory");
-        assert_eq!(e_ws.memory, mem, "case {case}: stealing memory");
-        assert_eq!(
-            e_rr.entry_regs, e_ws.entry_regs,
-            "case {case}: entry regs differ between policies"
-        );
-        let oq = original_queues(&ws, &rep_ws);
-        for q in 0..oq {
-            assert_eq!(
-                e_rr.streams[q], e_ws.streams[q],
-                "case {case}: pre-existing queue {q} stream differs between policies"
-            );
-        }
-
-        // Native runtime under skew: slow down the first replica of every
-        // group so the scatter's depth feedback actually fires. The delay
-        // is benign (timing-only), so results must not move.
-        let map = PipelineMap::infer(&ws);
-        let mut plan = FaultPlan::none(ws.num_threads());
-        for g in map.replica_groups(&ws) {
+        let map = PipelineMap::infer(&tp);
+        let mut plan = FaultPlan::none(tp.num_threads());
+        for g in map.replica_groups(&tp) {
             plan = plan.with_delay(
                 g.replica_threads[0],
                 DelayFault {
@@ -455,27 +353,57 @@ fn work_stealing_matches_round_robin() {
             );
         }
         let ctx = format!("case {case} (x{replicas}, cap {capacity}, skewed)");
-        check_engines_stealing(
+        check_all_engines(
             &ctx,
-            &ws,
+            &tp,
             &mem,
             RtConfig::default()
                 .queue_capacity(capacity)
                 .faults(plan.clone()),
-            oq,
         );
-        // And batching composes with stealing.
-        check_engines_stealing(
+        check_all_engines(
             &format!("{ctx} batched"),
-            &ws,
+            &tp,
             &mem,
             RtConfig::default().queue_capacity(32).batch(8).faults(plan),
-            oq,
         );
     }
     assert!(
         exercised >= cases / 2,
-        "stealing exercised in only {exercised}/{cases} cases"
+        "replication exercised in only {exercised}/{cases} cases"
+    );
+}
+
+/// Routing regression: on the deterministic executor, every replica of
+/// 4-way replicated compress retires more than the steps it spends on its
+/// prologue and epilogue alone, so a depth probe that always reads the
+/// same value (and thus always picks replica 0) cannot go unnoticed. The
+/// per-replica overhead is derived from the replica step sums at 2 and 4
+/// replicas: the iterations cost the same in total, so the difference is
+/// two replicas' worth of overhead.
+#[test]
+fn stealing_spreads_compress_iterations_over_every_replica() {
+    let w = dswp_repro::workloads::compress::build(Size::Test);
+    let replica_steps = |replicas: usize| -> Vec<u64> {
+        let (p, mem, report) =
+            transform_replicated(&w.program, w.header, Replicate::Fixed(replicas), 2);
+        assert_eq!(report.replication.len(), 1, "compress x{replicas}");
+        let exec = Executor::new(&p).run().expect("executor");
+        assert_eq!(exec.memory, mem, "compress x{replicas}: memory");
+        let groups = PipelineMap::infer(&p).replica_groups(&p);
+        groups[0]
+            .replica_threads
+            .iter()
+            .map(|&t| exec.steps[t])
+            .collect()
+    };
+    let two = replica_steps(2);
+    let four = replica_steps(4);
+    let overhead = (four.iter().sum::<u64>() - two.iter().sum::<u64>()) / 2;
+    assert!(overhead > 0, "x2 {two:?}, x4 {four:?}");
+    assert!(
+        four.iter().all(|&s| s > overhead),
+        "a replica ran no iterations: x4 {four:?}, overhead {overhead}"
     );
 }
 
