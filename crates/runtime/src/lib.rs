@@ -2,7 +2,7 @@
 //!
 //! The MICRO 2005 DSWP paper evaluates decoupled software pipelining on a
 //! simulated dual-core Itanium 2 with a hardware *synchronization array*.
-//! This crate is the third execution engine of the reproduction, and the
+//! This crate is one of the reproduction's four execution engines, and the
 //! only one that actually runs the pipeline concurrently:
 //!
 //! * the single-context [`Interpreter`](dswp_ir::interp::Interpreter)
@@ -10,6 +10,8 @@
 //! * the functional [`Executor`](../dswp_sim) round-robins all hardware
 //!   contexts in one OS thread with unbounded queues — the deterministic
 //!   correctness oracle;
+//! * the cycle-level `Machine` (also `dswp-sim`) times the pipeline on
+//!   simulated in-order cores;
 //! * this [`Runtime`] spawns **one OS thread per pipeline stage** and
 //!   implements the synchronization array as bounded lock-free SPSC
 //!   ring-buffer queues ([`queue::SpscQueue`]), with park/unpark
@@ -23,11 +25,10 @@
 //! flushes on blocking waits, stage end, and a step cadence so batching
 //! never changes observable results or liveness, only timing.
 //!
-//! All three engines share value semantics through `dswp_ir::exec` and
-//! `dswp_ir::interp::{eval_unary, eval_binary, eval_cmp}`, so a
-//! DSWP-transformed program must produce **bit-identical observable
-//! results** (final memory, main entry registers, per-queue value streams)
-//! on all of them. The differential test suite at the workspace root
+//! Every engine executes instructions through one stepper,
+//! `dswp_ir::exec::step`, so a DSWP-transformed program must produce
+//! **bit-identical observable results** (final memory, main entry
+//! registers, per-queue value streams) on all of them. The differential test suite at the workspace root
 //! asserts exactly that over every paper workload.
 //!
 //! # Liveness
@@ -138,6 +139,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dswp_ir::exec::MULTI_CONTEXT_STEP_LIMIT;
 use dswp_ir::Program;
 
 use monitor::{Monitor, Verdict};
@@ -355,7 +357,7 @@ impl Default for RtConfig {
             queue_capacity: 32,
             batch: BatchPolicy::default(),
             queue_batches: None,
-            step_limit: 500_000_000,
+            step_limit: MULTI_CONTEXT_STEP_LIMIT,
             watchdog: Duration::from_secs(2),
             record_streams: false,
             deadline: None,

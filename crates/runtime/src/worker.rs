@@ -1,11 +1,11 @@
 //! The per-stage worker: one OS thread interpreting one hardware context.
 //!
-//! Each DSWP pipeline stage runs this loop on its own `std::thread`. Value
-//! semantics are shared with the other two engines through
-//! `dswp_ir::exec` (frames, operands, call discipline) and
-//! `dswp_ir::interp::{eval_unary, eval_binary, eval_cmp}` (arithmetic), so
-//! the native runtime cannot drift from the interpreter or the functional
-//! executor on anything but scheduling.
+//! Each DSWP pipeline stage runs this loop on its own `std::thread`. Every
+//! instruction executes through `dswp_ir::exec::step`, the stepper the
+//! other three engines share; the worker supplies only shared memory, the
+//! batched queues, the step budget and the fault hooks (its `Stage`
+//! engine), so the native runtime cannot drift from the interpreter, the
+//! functional executor or the timing model on anything but scheduling.
 //!
 //! Shared program memory is a `Vec<AtomicI64>` accessed with relaxed
 //! loads/stores; cross-stage ordering comes from the queues' release/acquire
@@ -51,9 +51,8 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dswp_ir::exec::{new_frame, read_operand, Frame};
-use dswp_ir::interp::{eval_binary, eval_cmp, eval_unary};
-use dswp_ir::{FuncId, Op, Program};
+use dswp_ir::exec::{new_frame, step, Engine, Fault, Flow, Frame, StepError};
+use dswp_ir::{Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
 use crate::monitor::{BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
@@ -132,14 +131,14 @@ pub(crate) struct WorkerReport {
     pub refills: BatchHistogram,
 }
 
-enum QueueOutcome {
-    /// The operation completed; for consumes, carries the value.
-    Done(i64),
+/// Why a blocking queue operation did not complete.
+enum QueueStop {
     /// The named queue was poisoned: the peer endpoint is dead (or a fault
     /// plan poisoned it) and the operation — or a pending flush to it —
     /// can never complete meaningfully.
     Poisoned(usize),
-    Stop(WorkerEnd),
+    /// The run ended while this stage waited.
+    End(WorkerEnd),
 }
 
 /// Per-queue consumer-side local buffer: values acquired in one refill,
@@ -250,26 +249,6 @@ impl FaultSession {
     }
 }
 
-fn mem_load(shared: &Shared<'_>, addr: i64) -> Option<i64> {
-    usize::try_from(addr)
-        .ok()
-        .and_then(|a| shared.memory.get(a))
-        .map(|cell| cell.load(Ordering::Relaxed))
-}
-
-fn mem_store(shared: &Shared<'_>, addr: i64, value: i64) -> bool {
-    match usize::try_from(addr)
-        .ok()
-        .and_then(|a| shared.memory.get(a))
-    {
-        Some(cell) => {
-            cell.store(value, Ordering::Relaxed);
-            true
-        }
-        None => false,
-    }
-}
-
 /// Tracks the retry/park accounting of one worker across its blocked
 /// queue operations.
 #[derive(Default)]
@@ -324,7 +303,7 @@ fn comm_wait(
     backoff: &mut Backoff,
     mut forced_fails: u32,
     mut attempt: impl FnMut() -> Option<i64>,
-) -> QueueOutcome {
+) -> Result<i64, QueueStop> {
     let queue = &shared.queues[info.queue];
     let mut attempt = move || {
         if forced_fails > 0 {
@@ -347,11 +326,11 @@ fn comm_wait(
     };
     // Fast path: no contention, no timing overhead.
     if poisoned(queue) {
-        return QueueOutcome::Poisoned(info.queue);
+        return Err(QueueStop::Poisoned(info.queue));
     }
     if let Some(v) = attempt() {
         shared.monitor.notify_activity();
-        return QueueOutcome::Done(v);
+        return Ok(v);
     }
     match info.kind {
         BlockKind::Produce => queue.count_producer_block(),
@@ -362,21 +341,21 @@ fn comm_wait(
     let outcome =
         loop {
             if poisoned(queue) {
-                break QueueOutcome::Poisoned(info.queue);
+                break Err(QueueStop::Poisoned(info.queue));
             }
             // A pending flush to a poisoned queue can never be delivered —
             // fail now rather than spin on a satisfiable-but-unflushable set.
             if let Some(qi) = out.iter().enumerate().find_map(|(qi, b)| {
                 (!b.is_empty() && shared.queues[qi].is_poisoned()).then_some(qi)
             }) {
-                break QueueOutcome::Poisoned(qi);
+                break Err(QueueStop::Poisoned(qi));
             }
             if let Some(v) = attempt() {
                 shared.monitor.notify_activity();
-                break QueueOutcome::Done(v);
+                break Ok(v);
             }
             if shared.abort.load(Ordering::Relaxed) {
-                break QueueOutcome::Stop(WorkerEnd::Aborted);
+                break Err(QueueStop::End(WorkerEnd::Aborted));
             }
             side_flush(shared, out);
             backoff.retries += 1;
@@ -399,8 +378,8 @@ fn comm_wait(
                 };
                 match shared.monitor.wait(thread, &set, &shared.queues) {
                     WaitOutcome::Ready => {}
-                    WaitOutcome::Park => break QueueOutcome::Stop(WorkerEnd::Parked),
-                    WaitOutcome::Fail => break QueueOutcome::Stop(WorkerEnd::Aborted),
+                    WaitOutcome::Park => break Err(QueueStop::End(WorkerEnd::Parked)),
+                    WaitOutcome::Fail => break Err(QueueStop::End(WorkerEnd::Aborted)),
                 }
             }
         };
@@ -409,101 +388,158 @@ fn comm_wait(
     outcome
 }
 
-/// Blocking flush of output buffer `qi`: publishes every buffered value
-/// (possibly across several partial `push_batch`es while the consumer
-/// drains) before returning `Done`.
-fn flush_queue(
-    shared: &Shared<'_>,
+/// A stage thread's [`Engine`]: shared memory, the batched queues, and the
+/// bookkeeping of its blocked waits.
+struct Stage<'s, 'p> {
+    shared: &'s Shared<'p>,
     thread: usize,
-    qi: usize,
-    comm: &mut Comm,
-    faults: &mut FaultSession,
-    blocked_time: &mut Duration,
-    backoff: &mut Backoff,
-) -> QueueOutcome {
-    let mut buf = std::mem::take(&mut comm.out[qi]);
-    let q = &shared.queues[qi];
-    let info = BlockInfo {
-        queue: qi,
-        kind: BlockKind::Produce,
-    };
-    let stall = faults.stall_budget();
-    let total = buf.len();
-    let mut pos = 0usize;
-    let res = comm_wait(
-        shared,
-        thread,
-        info,
-        &mut comm.out,
-        blocked_time,
-        backoff,
-        stall,
-        || {
-            let n = q.push_batch(&buf[pos..]);
-            if n > 0 {
-                pos += n;
-                shared.monitor.notify_activity();
-            }
-            (pos == total).then_some(0)
-        },
-    );
-    if matches!(res, QueueOutcome::Done(_)) {
-        comm.flushes.add(total);
-    }
-    buf.clear();
-    comm.out[qi] = buf; // keep the allocation
-    res
+    comm: Comm,
+    faults: FaultSession,
+    /// Time spent blocked on queues (spin + park).
+    blocked: Duration,
+    backoff: Backoff,
 }
 
-/// Blocking refill of input buffer `qi`: acquires up to the queue's batch
-/// size in one `pop_batch` (never waiting for a full chunk) and returns
-/// the first value; the rest are served from the local buffer.
-fn refill_queue(
-    shared: &Shared<'_>,
-    thread: usize,
-    qi: usize,
-    comm: &mut Comm,
-    faults: &mut FaultSession,
-    blocked_time: &mut Duration,
-    backoff: &mut Backoff,
-) -> QueueOutcome {
-    let mut buf = std::mem::take(&mut comm.inq[qi]);
-    buf.vals.clear();
-    buf.next = 0;
-    let q = &shared.queues[qi];
-    let info = BlockInfo {
-        queue: qi,
-        kind: BlockKind::Consume,
-    };
-    let stall = faults.stall_budget();
-    let max = shared.batches[qi];
-    let vals = &mut buf.vals;
-    let res = comm_wait(
-        shared,
-        thread,
-        info,
-        &mut comm.out,
-        blocked_time,
-        backoff,
-        stall,
-        || (q.pop_batch(vals, max) > 0).then(|| vals[0]),
-    );
-    if matches!(res, QueueOutcome::Done(_)) {
-        buf.next = 1;
-        comm.refills.add(buf.vals.len());
+impl Stage<'_, '_> {
+    /// Blocking flush of output buffer `qi`: publishes every buffered value
+    /// (possibly across several partial `push_batch`es while the consumer
+    /// drains) before returning.
+    fn flush(&mut self, qi: usize) -> Result<(), QueueStop> {
+        let shared = self.shared;
+        let mut buf = std::mem::take(&mut self.comm.out[qi]);
+        let q = &shared.queues[qi];
+        let info = BlockInfo {
+            queue: qi,
+            kind: BlockKind::Produce,
+        };
+        let stall = self.faults.stall_budget();
+        let total = buf.len();
+        let mut pos = 0usize;
+        let res = comm_wait(
+            shared,
+            self.thread,
+            info,
+            &mut self.comm.out,
+            &mut self.blocked,
+            &mut self.backoff,
+            stall,
+            || {
+                let n = q.push_batch(&buf[pos..]);
+                if n > 0 {
+                    pos += n;
+                    shared.monitor.notify_activity();
+                }
+                (pos == total).then_some(0)
+            },
+        );
+        if res.is_ok() {
+            self.comm.flushes.add(total);
+        }
+        buf.clear();
+        self.comm.out[qi] = buf; // keep the allocation
+        res.map(drop)
     }
-    comm.inq[qi] = buf; // keep the allocation
-    res
+
+    /// Blocking refill of input buffer `qi`: acquires up to the queue's
+    /// batch size in one `pop_batch` (never waiting for a full chunk) and
+    /// returns the first value; the rest are served from the local buffer.
+    fn refill(&mut self, qi: usize) -> Result<i64, QueueStop> {
+        let shared = self.shared;
+        let mut buf = std::mem::take(&mut self.comm.inq[qi]);
+        buf.vals.clear();
+        buf.next = 0;
+        let q = &shared.queues[qi];
+        let info = BlockInfo {
+            queue: qi,
+            kind: BlockKind::Consume,
+        };
+        let stall = self.faults.stall_budget();
+        let max = shared.batches[qi];
+        let vals = &mut buf.vals;
+        let res = comm_wait(
+            shared,
+            self.thread,
+            info,
+            &mut self.comm.out,
+            &mut self.blocked,
+            &mut self.backoff,
+            stall,
+            || (q.pop_batch(vals, max) > 0).then(|| vals[0]),
+        );
+        if res.is_ok() {
+            buf.next = 1;
+            self.comm.refills.add(buf.vals.len());
+        }
+        self.comm.inq[qi] = buf; // keep the allocation
+        res
+    }
+}
+
+impl Engine for Stage<'_, '_> {
+    type Stop = QueueStop;
+
+    fn load(&mut self, addr: i64) -> Option<i64> {
+        usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.shared.memory.get(a))
+            .map(|cell| cell.load(Ordering::Relaxed))
+    }
+
+    fn store(&mut self, addr: i64, value: i64) -> bool {
+        match usize::try_from(addr)
+            .ok()
+            .and_then(|a| self.shared.memory.get(a))
+        {
+            Some(cell) => {
+                cell.store(value, Ordering::Relaxed);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn produce(&mut self, queue: QueueId, value: i64) -> Result<(), QueueStop> {
+        let qi = queue.index();
+        self.comm.out[qi].push(value);
+        if self.comm.out[qi].len() >= self.shared.batches[qi] {
+            self.flush(qi)?;
+        }
+        Ok(())
+    }
+
+    fn consume(&mut self, queue: QueueId) -> Result<i64, QueueStop> {
+        let qi = queue.index();
+        match self.comm.inq[qi].pop() {
+            Some(v) => Ok(v),
+            None => self.refill(qi),
+        }
+    }
+
+    fn depth(&mut self, queue: QueueId) -> Result<i64, QueueStop> {
+        // Occupancy as visible to this context: the ring itself, plus
+        // anything this worker has produced but not yet flushed, plus
+        // refilled values it has not yet served. The snapshot is racy by
+        // design — the probe feeds a routing heuristic (work-stealing
+        // scatter), never a correctness decision.
+        let qi = queue.index();
+        let inq = &self.comm.inq[qi];
+        let local = self.comm.out[qi].len() + (inq.vals.len() - inq.next);
+        Ok((self.shared.queues[qi].len() + local) as i64)
+    }
 }
 
 /// Runs hardware context `thread` to completion. Errors are reported to the
 /// monitor (first failure wins) and surface as an `Aborted` report.
 pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     let started = Instant::now();
-    let mut blocked_time = Duration::ZERO;
-    let mut backoff = Backoff::default();
-    let mut faults = FaultSession::new(shared.faults, thread);
-    let mut comm = Comm::new(shared.queues.len());
+    let mut stage = Stage {
+        shared,
+        thread,
+        comm: Comm::new(shared.queues.len()),
+        faults: FaultSession::new(shared.faults, thread),
+        blocked: Duration::ZERO,
+        backoff: Backoff::default(),
+    };
     let program = shared.program;
     let entry = program.thread_entries()[thread];
     let mut stack: Vec<Frame> = vec![new_frame(program.function(entry), entry)];
@@ -515,14 +551,13 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
         shared.monitor.fail(err);
         WorkerEnd::Aborted
     };
-    // Converts a blocked-op outcome shared by all four queue instructions.
-    let queue_stop = |end: QueueOutcome| match end {
-        QueueOutcome::Poisoned(queue) => fail(RtError::QueuePoisoned {
+    // Converts the stop of a blocking queue operation.
+    let queue_stop = |stop: QueueStop| match stop {
+        QueueStop::Poisoned(queue) => fail(RtError::QueuePoisoned {
             queue,
             stage: thread,
         }),
-        QueueOutcome::Stop(e) => e,
-        QueueOutcome::Done(_) => unreachable!("Done handled by the caller"),
+        QueueStop::End(e) => e,
     };
 
     let mut end = 'run: loop {
@@ -541,217 +576,33 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
             }
             // Cadence flush: don't let buffered values linger while this
             // stage computes without touching its queues.
-            side_flush(shared, &mut comm.out);
+            side_flush(shared, &mut stage.comm.out);
         }
         budget -= 1;
         steps += 1;
-        faults.on_step(thread, steps, &shared.queues);
+        stage.faults.on_step(thread, steps, &shared.queues);
 
-        let frame = stack.last_mut().expect("live context has a frame");
-        let func = program.function(frame.func);
-        let instr = func.block(frame.block).instrs()[frame.index];
-
-        match *func.op(instr) {
-            Op::Const { dst, value } => {
-                frame.regs[dst.index()] = value;
-                frame.index += 1;
-            }
-            Op::Unary { dst, op, src } => {
-                let v = read_operand(src, &frame.regs);
-                frame.regs[dst.index()] = eval_unary(op, v);
-                frame.index += 1;
-            }
-            Op::Binary { dst, op, lhs, rhs } => {
-                let (a, b) = (
-                    read_operand(lhs, &frame.regs),
-                    read_operand(rhs, &frame.regs),
-                );
-                frame.regs[dst.index()] = eval_binary(op, a, b);
-                frame.index += 1;
-            }
-            Op::Cmp { dst, op, lhs, rhs } => {
-                let (a, b) = (
-                    read_operand(lhs, &frame.regs),
-                    read_operand(rhs, &frame.regs),
-                );
-                frame.regs[dst.index()] = eval_cmp(op, a, b);
-                frame.index += 1;
-            }
-            Op::Load {
-                dst, addr, offset, ..
-            } => {
-                let a = frame.regs[addr.index()].wrapping_add(offset);
-                let Some(v) = mem_load(shared, a) else {
-                    break 'run fail(RtError::MemoryOutOfBounds {
-                        address: a,
-                        size: shared.memory.len(),
-                    });
-                };
-                frame.regs[dst.index()] = v;
-                frame.index += 1;
-            }
-            Op::Store {
-                src, addr, offset, ..
-            } => {
-                let v = read_operand(src, &frame.regs);
-                let a = frame.regs[addr.index()].wrapping_add(offset);
-                if !mem_store(shared, a, v) {
-                    break 'run fail(RtError::MemoryOutOfBounds {
-                        address: a,
-                        size: shared.memory.len(),
-                    });
-                }
-                frame.index += 1;
-            }
-            Op::Call { callee } => {
-                frame.index += 1;
-                stack.push(new_frame(program.function(callee), callee));
-            }
-            Op::CallInd { target } => {
-                let v = frame.regs[target.index()];
-                if v < 0 {
-                    // Terminate sentinel (master-loop protocol): not a
-                    // counted step, matching the functional executor.
-                    steps -= 1;
-                    break 'run WorkerEnd::Terminated;
-                }
-                let Some(idx) = usize::try_from(v)
-                    .ok()
-                    .filter(|&i| i < program.functions().len())
-                else {
-                    break 'run fail(RtError::BadIndirectTarget(v));
-                };
-                frame.index += 1;
-                let callee = FuncId::from_index(idx);
-                stack.push(new_frame(program.function(callee), callee));
-            }
-            Op::Br { cond, then_, else_ } => {
-                frame.block = if frame.regs[cond.index()] != 0 {
-                    then_
-                } else {
-                    else_
-                };
-                frame.index = 0;
-            }
-            Op::Jump { target } => {
-                frame.block = target;
-                frame.index = 0;
-            }
-            Op::Ret => {
-                if stack.len() == 1 {
-                    break 'run fail(RtError::ReturnFromEntry(thread));
-                }
-                stack.pop();
-            }
-            Op::Halt => {
-                steps -= 1; // halt is not a counted step (executor parity)
+        match step(program, &mut stack, &mut stage) {
+            Ok(Flow::Halt) => {
+                // Neither `halt` nor the terminate sentinel is a counted
+                // step (executor parity).
+                steps -= 1;
                 break 'run WorkerEnd::Terminated;
             }
-            Op::Produce { queue, src } => {
-                let v = read_operand(src, &frame.regs);
-                let qi = queue.index();
-                comm.out[qi].push(v);
-                if comm.out[qi].len() >= shared.batches[qi] {
-                    match flush_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(_) => frame.index += 1,
-                        other => {
-                            steps -= 1; // the op never completed
-                            break 'run queue_stop(other);
-                        }
-                    }
-                } else {
-                    frame.index += 1;
-                }
+            Ok(_) => {}
+            Err(StepError::Stop(stop)) => {
+                steps -= 1; // the op never completed
+                break 'run queue_stop(stop);
             }
-            Op::Consume { queue, dst } => {
-                let qi = queue.index();
-                let v = match comm.inq[qi].pop() {
-                    Some(v) => v,
-                    None => match refill_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(v) => v,
-                        other => {
-                            steps -= 1;
-                            break 'run queue_stop(other);
-                        }
+            Err(StepError::Fault(f)) => {
+                break 'run fail(match f {
+                    Fault::MemoryOutOfBounds { address } => RtError::MemoryOutOfBounds {
+                        address,
+                        size: shared.memory.len(),
                     },
-                };
-                frame.regs[dst.index()] = v;
-                frame.index += 1;
-            }
-            Op::ProduceToken { queue } => {
-                let qi = queue.index();
-                comm.out[qi].push(0);
-                if comm.out[qi].len() >= shared.batches[qi] {
-                    match flush_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(_) => frame.index += 1,
-                        other => {
-                            steps -= 1;
-                            break 'run queue_stop(other);
-                        }
-                    }
-                } else {
-                    frame.index += 1;
-                }
-            }
-            Op::ConsumeToken { queue } => {
-                let qi = queue.index();
-                match comm.inq[qi].pop() {
-                    Some(_) => frame.index += 1,
-                    None => match refill_queue(
-                        shared,
-                        thread,
-                        qi,
-                        &mut comm,
-                        &mut faults,
-                        &mut blocked_time,
-                        &mut backoff,
-                    ) {
-                        QueueOutcome::Done(_) => frame.index += 1,
-                        other => {
-                            steps -= 1;
-                            break 'run queue_stop(other);
-                        }
-                    },
-                }
-            }
-            Op::QueueDepth { dst, queue } => {
-                // Occupancy as visible to this context: the ring itself,
-                // plus anything this worker has produced but not yet
-                // flushed, plus refilled values it has not yet served.
-                // The snapshot is racy by design — the probe feeds a
-                // routing heuristic (work-stealing scatter), never a
-                // correctness decision.
-                let qi = queue.index();
-                let local = comm.out[qi].len() + (comm.inq[qi].vals.len() - comm.inq[qi].next);
-                frame.regs[dst.index()] = (shared.queues[qi].len() + local) as i64;
-                frame.index += 1;
-            }
-            Op::Nop => {
-                frame.index += 1;
+                    Fault::BadIndirectTarget(v) => RtError::BadIndirectTarget(v),
+                    Fault::ReturnFromEntry => RtError::ReturnFromEntry(thread),
+                })
             }
         }
     };
@@ -760,23 +611,12 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     // whatever it buffered since the last flush.
     if end == WorkerEnd::Terminated {
         for qi in 0..shared.queues.len() {
-            if comm.out[qi].is_empty() {
+            if stage.comm.out[qi].is_empty() {
                 continue;
             }
-            match flush_queue(
-                shared,
-                thread,
-                qi,
-                &mut comm,
-                &mut faults,
-                &mut blocked_time,
-                &mut backoff,
-            ) {
-                QueueOutcome::Done(_) => {}
-                other => {
-                    end = queue_stop(other);
-                    break;
-                }
+            if let Err(stop) = stage.flush(qi) {
+                end = queue_stop(stop);
+                break;
             }
         }
     }
@@ -792,10 +632,10 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
         steps,
         entry_regs: stack.first().map(|f| f.regs.clone()).unwrap_or_default(),
         wall: started.elapsed(),
-        blocked: blocked_time,
-        retries: backoff.retries,
-        parks: backoff.parks,
-        flushes: comm.flushes,
-        refills: comm.refills,
+        blocked: stage.blocked,
+        retries: stage.backoff.retries,
+        parks: stage.backoff.parks,
+        flushes: stage.comm.flushes,
+        refills: stage.comm.refills,
     }
 }

@@ -1,8 +1,10 @@
 //! A multi-context *functional* executor: exact semantics, no timing.
 //!
-//! Runs every hardware context round-robin, one instruction at a time, with
-//! unbounded FIFO queues. `consume` blocks while its queue is empty;
-//! `produce` never blocks. Used as the fast correctness oracle for
+//! Runs every hardware context round-robin, one instruction at a time
+//! through the shared stepper [`dswp_ir::exec::step`], with unbounded FIFO
+//! queues. `consume` blocks while its queue is empty (the context retries
+//! it on its next turn); `produce` never blocks. `halt` is not a counted
+//! step. Used as the fast correctness oracle for
 //! DSWP-transformed programs: the observable result (final memory + main
 //! thread's entry-frame registers) must equal the single-threaded
 //! interpreter's result on the original program.
@@ -14,9 +16,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use dswp_ir::exec::{checked_read, checked_write, new_frame, read_operand, Frame};
-use dswp_ir::interp::{eval_binary, eval_cmp, eval_unary};
-use dswp_ir::{FuncId, Op, Program};
+use dswp_ir::exec::{
+    checked_read, checked_write, new_frame, step, Engine, Fault, Flow, Frame, StepError,
+    MULTI_CONTEXT_STEP_LIMIT,
+};
+use dswp_ir::{Program, QueueId};
 
 /// Errors raised by the functional executor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,7 +111,7 @@ impl<'p> Executor<'p> {
     pub fn new(program: &'p Program) -> Self {
         Executor {
             program,
-            step_limit: 500_000_000,
+            step_limit: MULTI_CONTEXT_STEP_LIMIT,
         }
     }
 
@@ -131,12 +135,12 @@ impl<'p> Executor<'p> {
     /// See [`ExecError`].
     pub fn run(&self) -> Result<ExecResult, ExecError> {
         let program = self.program;
-        let mut memory = program.initial_memory.clone();
-        let mut queues: Vec<VecDeque<i64>> =
-            (0..program.num_queues).map(|_| VecDeque::new()).collect();
-        let mut streams: Vec<Vec<i64>> = vec![Vec::new(); program.num_queues as usize];
-        let mut max_occ = 0usize;
-
+        let mut fifos = Fifos {
+            memory: program.initial_memory.clone(),
+            queues: vec![VecDeque::new(); program.num_queues as usize],
+            streams: vec![Vec::new(); program.num_queues as usize],
+            max_occupancy: 0,
+        };
         let mut contexts: Vec<Context> = program
             .thread_entries()
             .iter()
@@ -150,33 +154,37 @@ impl<'p> Executor<'p> {
 
         loop {
             let mut any_progress = false;
-            for t in 0..contexts.len() {
+            for (t, ctx) in contexts.iter_mut().enumerate() {
                 // Run each context until it blocks, halts, or exhausts a
                 // small quantum (keeps round-robin fair yet fast).
                 let mut quantum = 128;
-                while quantum > 0 && !contexts[t].halted {
+                while quantum > 0 && !ctx.halted {
                     quantum -= 1;
                     if total_steps >= self.step_limit {
                         return Err(ExecError::StepLimit(self.step_limit));
                     }
-                    match step(
-                        program,
-                        &mut contexts[t],
-                        &mut memory,
-                        &mut queues,
-                        &mut streams,
-                        &mut max_occ,
-                        t,
-                    )? {
-                        StepOutcome::Progress => {
+                    match step(program, &mut ctx.stack, &mut fifos) {
+                        Ok(Flow::Halt) => {
+                            ctx.halted = true;
+                            any_progress = true;
+                        }
+                        Ok(_) => {
                             steps[t] += 1;
                             total_steps += 1;
                             any_progress = true;
                         }
-                        StepOutcome::Blocked => break,
-                        StepOutcome::Halted => {
-                            contexts[t].halted = true;
-                            any_progress = true;
+                        Err(StepError::Stop(Blocked)) => break,
+                        Err(StepError::Fault(f)) => {
+                            return Err(match f {
+                                Fault::MemoryOutOfBounds { address } => {
+                                    ExecError::MemoryOutOfBounds {
+                                        address,
+                                        size: fifos.memory.len(),
+                                    }
+                                }
+                                Fault::BadIndirectTarget(v) => ExecError::BadIndirectTarget(v),
+                                Fault::ReturnFromEntry => ExecError::ReturnFromEntry(t),
+                            })
                         }
                     }
                 }
@@ -206,157 +214,53 @@ impl<'p> Executor<'p> {
             .map(|f| f.regs.clone())
             .unwrap_or_default();
         Ok(ExecResult {
-            memory,
+            memory: fifos.memory,
             entry_regs,
             steps,
-            max_queue_occupancy: max_occ,
-            streams,
+            max_queue_occupancy: fifos.max_occupancy,
+            streams: fifos.streams,
         })
     }
 }
 
-enum StepOutcome {
-    Progress,
-    Blocked,
-    Halted,
+/// The executor's [`Engine`]: shared memory and unbounded FIFO queues that
+/// record every produced value and their deepest occupancy.
+struct Fifos {
+    memory: Vec<i64>,
+    queues: Vec<VecDeque<i64>>,
+    streams: Vec<Vec<i64>>,
+    max_occupancy: usize,
 }
 
-fn step(
-    program: &Program,
-    ctx: &mut Context,
-    memory: &mut [i64],
-    queues: &mut [VecDeque<i64>],
-    streams: &mut [Vec<i64>],
-    max_occ: &mut usize,
-    thread: usize,
-) -> Result<StepOutcome, ExecError> {
-    let frame = ctx.stack.last_mut().expect("live context has a frame");
-    let func = program.function(frame.func);
-    let instr = func.block(frame.block).instrs()[frame.index];
-    let op = func.op(instr);
+/// A consume found its queue empty; the context retries it later.
+struct Blocked;
 
-    match *op {
-        Op::Const { dst, value } => {
-            frame.regs[dst.index()] = value;
-            frame.index += 1;
-        }
-        Op::Unary { dst, op, src } => {
-            let v = read_operand(src, &frame.regs);
-            frame.regs[dst.index()] = eval_unary(op, v);
-            frame.index += 1;
-        }
-        Op::Binary { dst, op, lhs, rhs } => {
-            let (a, b) = (
-                read_operand(lhs, &frame.regs),
-                read_operand(rhs, &frame.regs),
-            );
-            frame.regs[dst.index()] = eval_binary(op, a, b);
-            frame.index += 1;
-        }
-        Op::Cmp { dst, op, lhs, rhs } => {
-            let (a, b) = (
-                read_operand(lhs, &frame.regs),
-                read_operand(rhs, &frame.regs),
-            );
-            frame.regs[dst.index()] = eval_cmp(op, a, b);
-            frame.index += 1;
-        }
-        Op::Load {
-            dst, addr, offset, ..
-        } => {
-            let a = frame.regs[addr.index()].wrapping_add(offset);
-            let v = checked_read(memory, a).ok_or(ExecError::MemoryOutOfBounds {
-                address: a,
-                size: memory.len(),
-            })?;
-            frame.regs[dst.index()] = v;
-            frame.index += 1;
-        }
-        Op::Store {
-            src, addr, offset, ..
-        } => {
-            let v = read_operand(src, &frame.regs);
-            let a = frame.regs[addr.index()].wrapping_add(offset);
-            if !checked_write(memory, a, v) {
-                return Err(ExecError::MemoryOutOfBounds {
-                    address: a,
-                    size: memory.len(),
-                });
-            }
-            frame.index += 1;
-        }
-        Op::Call { callee } => {
-            frame.index += 1;
-            let callee_fn = program.function(callee);
-            ctx.stack.push(new_frame(callee_fn, callee));
-        }
-        Op::CallInd { target } => {
-            let v = frame.regs[target.index()];
-            if v < 0 {
-                return Ok(StepOutcome::Halted);
-            }
-            let idx = usize::try_from(v)
-                .ok()
-                .filter(|&i| i < program.functions().len())
-                .ok_or(ExecError::BadIndirectTarget(v))?;
-            frame.index += 1;
-            let callee = FuncId::from_index(idx);
-            ctx.stack.push(new_frame(program.function(callee), callee));
-        }
-        Op::Br { cond, then_, else_ } => {
-            frame.block = if frame.regs[cond.index()] != 0 {
-                then_
-            } else {
-                else_
-            };
-            frame.index = 0;
-        }
-        Op::Jump { target } => {
-            frame.block = target;
-            frame.index = 0;
-        }
-        Op::Ret => {
-            if ctx.stack.len() == 1 {
-                return Err(ExecError::ReturnFromEntry(thread));
-            }
-            ctx.stack.pop();
-        }
-        Op::Halt => return Ok(StepOutcome::Halted),
-        Op::Produce { queue, src } => {
-            let v = read_operand(src, &frame.regs);
-            queues[queue.index()].push_back(v);
-            streams[queue.index()].push(v);
-            *max_occ = (*max_occ).max(queues[queue.index()].len());
-            frame.index += 1;
-        }
-        Op::Consume { queue, dst } => {
-            let Some(v) = queues[queue.index()].pop_front() else {
-                return Ok(StepOutcome::Blocked);
-            };
-            frame.regs[dst.index()] = v;
-            frame.index += 1;
-        }
-        Op::ProduceToken { queue } => {
-            queues[queue.index()].push_back(0);
-            streams[queue.index()].push(0);
-            *max_occ = (*max_occ).max(queues[queue.index()].len());
-            frame.index += 1;
-        }
-        Op::ConsumeToken { queue } => {
-            if queues[queue.index()].pop_front().is_none() {
-                return Ok(StepOutcome::Blocked);
-            }
-            frame.index += 1;
-        }
-        Op::QueueDepth { dst, queue } => {
-            frame.regs[dst.index()] = queues[queue.index()].len() as i64;
-            frame.index += 1;
-        }
-        Op::Nop => {
-            frame.index += 1;
-        }
+impl Engine for Fifos {
+    type Stop = Blocked;
+
+    fn load(&mut self, addr: i64) -> Option<i64> {
+        checked_read(&self.memory, addr)
     }
-    Ok(StepOutcome::Progress)
+
+    fn store(&mut self, addr: i64, value: i64) -> bool {
+        checked_write(&mut self.memory, addr, value)
+    }
+
+    fn produce(&mut self, queue: QueueId, value: i64) -> Result<(), Blocked> {
+        let q = &mut self.queues[queue.index()];
+        q.push_back(value);
+        self.max_occupancy = self.max_occupancy.max(q.len());
+        self.streams[queue.index()].push(value);
+        Ok(())
+    }
+
+    fn consume(&mut self, queue: QueueId) -> Result<i64, Blocked> {
+        self.queues[queue.index()].pop_front().ok_or(Blocked)
+    }
+
+    fn depth(&mut self, queue: QueueId) -> Result<i64, Blocked> {
+        Ok(self.queues[queue.index()].len() as i64)
+    }
 }
 
 #[cfg(test)]

@@ -15,16 +15,20 @@
 //!   blocking-queue semantics;
 //! * control transfers pay a front-end redirect bubble.
 //!
-//! Execution is *execute-at-issue*: values are computed functionally when
-//! an instruction issues; timing constraints (scoreboard + queue
+//! Execution is *execute-at-issue*: an instruction that passes the issue
+//! checks executes through the shared stepper [`dswp_ir::exec::step`] in
+//! the cycle it issues; timing constraints (scoreboard + queue
 //! visibility) guarantee cross-core ordering matches the dependences, so
 //! the simulation is also a correct functional execution.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::fmt;
 
-use dswp_ir::interp::{eval_binary, eval_cmp, eval_unary};
-use dswp_ir::{FuncId, Function, LatencyClass, Op, Operand, Program};
+use dswp_ir::exec::{
+    checked_read, checked_write, new_frame, step, Engine, Fault, Flow, Frame, StepError,
+};
+use dswp_ir::{Op, Program, QueueId};
 
 use crate::cache::{CacheModel, CacheStats};
 use crate::config::MachineConfig;
@@ -191,23 +195,92 @@ pub struct SimResult {
     pub mem_trace: Vec<Access>,
 }
 
-struct TFrame {
-    func: FuncId,
-    regs: Vec<i64>,
-    ready: Vec<u64>,
-    block: dswp_ir::BlockId,
-    index: usize,
-}
-
 struct Core {
-    stack: Vec<TFrame>,
+    stack: Vec<Frame>,
+    /// Scoreboard: the cycle each register's value becomes available, one
+    /// register file per frame of `stack`.
+    ready: Vec<Vec<u64>>,
     halted: bool,
     next_issue: u64,
     stats: CoreStats,
 }
 
-struct QueueState {
-    entries: VecDeque<(i64, u64)>,
+/// Everything outside the cores, and the [`Engine`] a core steps against:
+/// shared memory behind the optional cache model, and the synchronization
+/// array, whose entries carry the cycle they become visible.
+struct Uncore {
+    memory: Vec<i64>,
+    queues: Vec<VecDeque<(i64, u64)>>,
+    cache: Option<CacheModel>,
+    /// Memory trace, when `record_mem_trace` is set.
+    trace: Option<Vec<Access>>,
+    comm_latency: u64,
+    /// The core and cycle of the instruction being issued.
+    core: usize,
+    cycle: u64,
+    /// The cache model's latency for the load being issued.
+    load_latency: Option<u64>,
+}
+
+impl Uncore {
+    fn record(&mut self, addr: i64, write: bool) {
+        if let Some(t) = &mut self.trace {
+            t.push(Access {
+                core: self.core,
+                cycle: self.cycle,
+                addr: addr as u64,
+                write,
+            });
+        }
+    }
+}
+
+/// Never stops: `issue_cycle` holds back a queue operation that would block.
+impl Engine for Uncore {
+    type Stop = Infallible;
+
+    fn load(&mut self, addr: i64) -> Option<i64> {
+        let v = checked_read(&self.memory, addr)?;
+        if let Some(c) = &mut self.cache {
+            self.load_latency = Some(c.load_latency(self.core, addr as u64));
+        }
+        self.record(addr, false);
+        Some(v)
+    }
+
+    fn store(&mut self, addr: i64, value: i64) -> bool {
+        if !checked_write(&mut self.memory, addr, value) {
+            return false;
+        }
+        if let Some(c) = &mut self.cache {
+            c.store(self.core, addr as u64);
+        }
+        self.record(addr, true);
+        true
+    }
+
+    fn produce(&mut self, queue: QueueId, value: i64) -> Result<(), Infallible> {
+        self.queues[queue.index()].push_back((value, self.cycle + self.comm_latency));
+        Ok(())
+    }
+
+    fn consume(&mut self, queue: QueueId) -> Result<i64, Infallible> {
+        let (v, _) = self.queues[queue.index()]
+            .pop_front()
+            .expect("availability checked");
+        Ok(v)
+    }
+
+    fn depth(&mut self, queue: QueueId) -> Result<i64, Infallible> {
+        // Occupancy as visible to this core: entries whose communication
+        // latency has elapsed by this cycle.
+        let cycle = self.cycle;
+        let visible = self.queues[queue.index()]
+            .iter()
+            .filter(|&&(_, vis)| vis <= cycle)
+            .count();
+        Ok(visible as i64)
+    }
 }
 
 /// The CMP timing model.
@@ -232,26 +305,32 @@ impl<'p> Machine<'p> {
         let program = self.program;
         let cfg = &self.config;
         let num_cores = program.num_threads();
-        let mut memory = program.initial_memory.clone();
-        let mut queues: Vec<QueueState> = (0..program.num_queues)
-            .map(|_| QueueState {
-                entries: VecDeque::new(),
-            })
-            .collect();
-        let mut cache = cfg.cache.map(|cc| CacheModel::new(cc, num_cores));
+        let mut uncore = Uncore {
+            memory: program.initial_memory.clone(),
+            queues: vec![VecDeque::new(); program.num_queues as usize],
+            cache: cfg.cache.map(|cc| CacheModel::new(cc, num_cores)),
+            trace: cfg.record_mem_trace.then(Vec::new),
+            comm_latency: cfg.comm_latency,
+            core: 0,
+            cycle: 0,
+            load_latency: None,
+        };
         let mut cores: Vec<Core> = program
             .thread_entries()
             .iter()
-            .map(|&e| Core {
-                stack: vec![new_frame(program.function(e), e)],
-                halted: false,
-                next_issue: 0,
-                stats: CoreStats::default(),
+            .map(|&e| {
+                let f = program.function(e);
+                Core {
+                    stack: vec![new_frame(f, e)],
+                    ready: vec![vec![0; f.num_regs() as usize]],
+                    halted: false,
+                    next_issue: 0,
+                    stats: CoreStats::default(),
+                }
             })
             .collect();
 
         let mut occupancy = OccupancyStats::default();
-        let mut mem_trace: Vec<Access> = Vec::new();
         let mut cycle: u64 = 0;
         let mut last_progress: u64 = 0;
         let deadlock_window: u64 = 50_000 + cfg.comm_latency * 64;
@@ -275,21 +354,9 @@ impl<'p> Machine<'p> {
                     continue;
                 }
                 core.stats.active_cycles += 1;
-                match issue_cycle(
-                    program,
-                    cfg,
-                    core,
-                    &mut memory,
-                    &mut queues,
-                    cache.as_mut(),
-                    if cfg.record_mem_trace {
-                        Some(&mut mem_trace)
-                    } else {
-                        None
-                    },
-                    c,
-                    cycle,
-                )? {
+                uncore.core = c;
+                uncore.cycle = cycle;
+                match issue_cycle(program, cfg, core, &mut uncore)? {
                     CycleOutcome::Issued(n) => {
                         debug_assert!(n > 0);
                         stall_flags[2] = true;
@@ -316,7 +383,7 @@ impl<'p> Machine<'p> {
             }
 
             // Occupancy bookkeeping.
-            let occ: usize = queues.iter().map(|q| q.entries.len()).sum();
+            let occ: usize = uncore.queues.iter().map(VecDeque::len).sum();
             *occupancy.histogram.entry(occ).or_insert(0) += 1;
             if cycle.is_multiple_of(cfg.occupancy_sample_period) {
                 occupancy.timeline.push((cycle, occ));
@@ -342,12 +409,12 @@ impl<'p> Machine<'p> {
             .unwrap_or_default();
         Ok(SimResult {
             cycles: cycle,
-            memory,
+            memory: uncore.memory,
             entry_regs,
             cores: cores.into_iter().map(|c| c.stats).collect(),
             occupancy,
-            cache: cache.map(|c| c.stats().to_vec()).unwrap_or_default(),
-            mem_trace,
+            cache: uncore.cache.map(|c| c.stats().to_vec()).unwrap_or_default(),
+            mem_trace: uncore.trace.unwrap_or_default(),
         })
     }
 }
@@ -357,29 +424,14 @@ enum CycleOutcome {
     Stalled(StallReason),
 }
 
-fn new_frame(f: &Function, id: FuncId) -> TFrame {
-    TFrame {
-        func: id,
-        regs: vec![0; f.num_regs() as usize],
-        ready: vec![0; f.num_regs() as usize],
-        block: f.entry(),
-        index: 0,
-    }
-}
-
 /// Issues as many instructions as the cycle allows on one core.
-#[allow(clippy::too_many_arguments)]
 fn issue_cycle(
     program: &Program,
     cfg: &MachineConfig,
     core: &mut Core,
-    memory: &mut [i64],
-    queues: &mut [QueueState],
-    mut cache: Option<&mut CacheModel>,
-    mut trace: Option<&mut Vec<Access>>,
-    core_id: usize,
-    cycle: u64,
+    uncore: &mut Uncore,
 ) -> Result<CycleOutcome, SimError> {
+    let cycle = uncore.cycle;
     if cycle < core.next_issue {
         return Ok(CycleOutcome::Stalled(StallReason::FrontEnd));
     }
@@ -388,10 +440,9 @@ fn issue_cycle(
     let mut first_block: Option<StallReason> = None;
 
     'issue: while issued < cfg.issue_width {
-        let frame = core.stack.last_mut().expect("live core has a frame");
-        let func = program.function(frame.func);
-        let instr = func.block(frame.block).instrs()[frame.index];
-        let op = func.op(instr);
+        let frame = core.stack.last().expect("live core has a frame");
+        let (_, op) = frame.fetch(program);
+        let ready = core.ready.last_mut().expect("one scoreboard per frame");
 
         // Structural: M-port limit.
         if op.is_m_type() && m_used >= cfg.m_ports {
@@ -400,27 +451,24 @@ fn issue_cycle(
         }
         // Scoreboard: all sources ready.
         for u in op.uses() {
-            if frame.ready[u.index()] > cycle {
+            if ready[u.index()] > cycle {
                 first_block.get_or_insert(StallReason::Data);
                 break 'issue;
             }
         }
         // Queue availability.
-        match op {
+        match *op {
             Op::Consume { queue, .. } | Op::ConsumeToken { queue } => {
-                let q = &queues[queue.index()];
-                let visible = q
-                    .entries
+                let visible = uncore.queues[queue.index()]
                     .front()
-                    .map(|&(_, vis)| vis <= cycle)
-                    .unwrap_or(false);
+                    .is_some_and(|&(_, vis)| vis <= cycle);
                 if !visible {
                     first_block.get_or_insert(StallReason::QueueEmpty);
                     break 'issue;
                 }
             }
             Op::Produce { queue, .. } | Op::ProduceToken { queue }
-                if queues[queue.index()].entries.len() >= cfg.queue_capacity =>
+                if uncore.queues[queue.index()].len() >= cfg.queue_capacity =>
             {
                 first_block.get_or_insert(StallReason::QueueFull);
                 break 'issue;
@@ -429,207 +477,52 @@ fn issue_cycle(
         }
 
         // ---- issue: execute functionally, assign latency ----
-        let read = |o: Operand, regs: &[i64]| -> i64 {
-            match o {
-                Operand::Reg(r) => regs[r.index()],
-                Operand::Imm(v) => v,
+        let flow = match step(program, &mut core.stack, uncore) {
+            Ok(flow) => flow,
+            Err(StepError::Stop(never)) => match never {},
+            Err(StepError::Fault(f)) => {
+                return Err(match f {
+                    Fault::MemoryOutOfBounds { address } => SimError::MemoryOutOfBounds {
+                        address,
+                        size: uncore.memory.len(),
+                    },
+                    Fault::BadIndirectTarget(v) => SimError::BadIndirectTarget(v),
+                    Fault::ReturnFromEntry => SimError::ReturnFromEntry(uncore.core),
+                })
             }
         };
-        let lat = cfg.latency.op(op);
-        let mut redirect = false;
-        match *op {
-            Op::Const { dst, value } => {
-                frame.regs[dst.index()] = value;
-                frame.ready[dst.index()] = cycle + lat;
-                frame.index += 1;
-            }
-            Op::Unary { dst, op: uop, src } => {
-                let v = read(src, &frame.regs);
-                frame.regs[dst.index()] = eval_unary(uop, v);
-                frame.ready[dst.index()] = cycle + lat;
-                frame.index += 1;
-            }
-            Op::Binary {
-                dst,
-                op: bop,
-                lhs,
-                rhs,
-            } => {
-                let (a, b) = (read(lhs, &frame.regs), read(rhs, &frame.regs));
-                frame.regs[dst.index()] = eval_binary(bop, a, b);
-                frame.ready[dst.index()] = cycle + lat;
-                frame.index += 1;
-            }
-            Op::Cmp {
-                dst,
-                op: cop,
-                lhs,
-                rhs,
-            } => {
-                let (a, b) = (read(lhs, &frame.regs), read(rhs, &frame.regs));
-                frame.regs[dst.index()] = eval_cmp(cop, a, b);
-                frame.ready[dst.index()] = cycle + lat;
-                frame.index += 1;
-            }
-            Op::Load {
-                dst, addr, offset, ..
-            } => {
-                let a = frame.regs[addr.index()].wrapping_add(offset);
-                let v = usize::try_from(a)
-                    .ok()
-                    .and_then(|x| memory.get(x).copied())
-                    .ok_or(SimError::MemoryOutOfBounds {
-                        address: a,
-                        size: memory.len(),
-                    })?;
-                let lat = match cache.as_deref_mut() {
-                    Some(c) => c.load_latency(core_id, a as u64),
-                    None => lat,
-                };
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(Access {
-                        core: core_id,
-                        cycle,
-                        addr: a as u64,
-                        write: false,
-                    });
-                }
-                frame.regs[dst.index()] = v;
-                frame.ready[dst.index()] = cycle + lat;
-                frame.index += 1;
-            }
-            Op::Store {
-                src, addr, offset, ..
-            } => {
-                let v = read(src, &frame.regs);
-                let a = frame.regs[addr.index()].wrapping_add(offset);
-                let size = memory.len();
-                let slot = usize::try_from(a)
-                    .ok()
-                    .and_then(|x| memory.get_mut(x))
-                    .ok_or(SimError::MemoryOutOfBounds { address: a, size })?;
-                *slot = v;
-                if let Some(c) = cache.as_deref_mut() {
-                    c.store(core_id, a as u64);
-                }
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(Access {
-                        core: core_id,
-                        cycle,
-                        addr: a as u64,
-                        write: true,
-                    });
-                }
-                frame.index += 1;
-            }
-            Op::Call { callee } => {
-                frame.index += 1;
-                core.stack.push(new_frame(program.function(callee), callee));
-                redirect = true;
-            }
-            Op::CallInd { target } => {
-                let v = frame.regs[target.index()];
-                if v < 0 {
-                    core.halted = true;
-                    core.stats.retired += 1;
-                    issued += 1;
-                    break 'issue;
-                }
-                let idx = usize::try_from(v)
-                    .ok()
-                    .filter(|&i| i < program.functions().len())
-                    .ok_or(SimError::BadIndirectTarget(v))?;
-                frame.index += 1;
-                let callee = FuncId::from_index(idx);
-                core.stack.push(new_frame(program.function(callee), callee));
-                redirect = true;
-            }
-            Op::Br { cond, then_, else_ } => {
-                frame.block = if frame.regs[cond.index()] != 0 {
-                    then_
-                } else {
-                    else_
-                };
-                frame.index = 0;
-                redirect = true;
-            }
-            Op::Jump { target } => {
-                frame.block = target;
-                frame.index = 0;
-                redirect = true;
-            }
-            Op::Ret => {
-                if core.stack.len() == 1 {
-                    return Err(SimError::ReturnFromEntry(core_id));
-                }
-                core.stack.pop();
-                redirect = true;
-            }
-            Op::Halt => {
-                core.halted = true;
-                core.stats.retired += 1;
-                issued += 1;
-                break 'issue;
-            }
-            Op::Produce { queue, src } => {
-                let v = read(src, &frame.regs);
-                queues[queue.index()]
-                    .entries
-                    .push_back((v, cycle + cfg.comm_latency));
-                core.stats.queue_ops += 1;
-                frame.index += 1;
-            }
-            Op::Consume { queue, dst } => {
-                let (v, _) = queues[queue.index()]
-                    .entries
-                    .pop_front()
-                    .expect("availability checked");
-                frame.regs[dst.index()] = v;
-                frame.ready[dst.index()] = cycle + cfg.latency.queue;
-                core.stats.queue_ops += 1;
-                frame.index += 1;
-            }
-            Op::ProduceToken { queue } => {
-                queues[queue.index()]
-                    .entries
-                    .push_back((0, cycle + cfg.comm_latency));
-                core.stats.queue_ops += 1;
-                frame.index += 1;
-            }
-            Op::ConsumeToken { queue } => {
-                queues[queue.index()]
-                    .entries
-                    .pop_front()
-                    .expect("availability checked");
-                core.stats.queue_ops += 1;
-                frame.index += 1;
-            }
-            Op::QueueDepth { dst, queue } => {
-                // Occupancy as visible to this core: entries whose
-                // communication latency has elapsed by this cycle.
-                let depth = queues[queue.index()]
-                    .entries
-                    .iter()
-                    .filter(|&&(_, vis)| vis <= cycle)
-                    .count();
-                frame.regs[dst.index()] = depth as i64;
-                frame.ready[dst.index()] = cycle + lat;
-                frame.index += 1;
-            }
-            Op::Nop => {
-                frame.index += 1;
-            }
-        }
+        core.stats.retired += 1;
+        issued += 1;
         if op.is_m_type() {
             m_used += 1;
         }
-        core.stats.retired += 1;
-        issued += 1;
-        if redirect {
-            core.next_issue = cycle + 1 + cfg.taken_branch_bubble;
-            break 'issue;
+        if op.is_queue_op() {
+            core.stats.queue_ops += 1;
         }
-        let _ = LatencyClass::Nop; // (silence unused-import lint paths)
+        match flow {
+            Flow::Next => {
+                if let Some(dst) = op.def() {
+                    let lat = uncore.load_latency.take().unwrap_or(cfg.latency.op(op));
+                    ready[dst.index()] = cycle + lat;
+                }
+                continue 'issue;
+            }
+            Flow::Halt => {
+                core.halted = true;
+                break 'issue;
+            }
+            Flow::Call(callee) => {
+                let regs = program.function(callee).num_regs() as usize;
+                core.ready.push(vec![0; regs]);
+            }
+            Flow::Ret => {
+                core.ready.pop();
+            }
+            Flow::Branch(_) => {}
+        }
+        // Control transfer: front-end redirect bubble.
+        core.next_issue = cycle + 1 + cfg.taken_branch_bubble;
+        break 'issue;
     }
 
     if issued > 0 {
