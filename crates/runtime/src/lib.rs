@@ -15,7 +15,7 @@
 //! * this [`Runtime`] spawns **one OS thread per pipeline stage** and
 //!   implements the synchronization array as bounded lock-free SPSC
 //!   ring-buffer queues ([`queue::SpscQueue`]), with park/unpark
-//!   backpressure and a deadlock watchdog.
+//!   backpressure and deadlock detection.
 //!
 //! The synchronization-array gap the paper glosses over — its hardware
 //! `produce`/`consume` cost ~a cycle, a software queue costs a cross-core
@@ -34,29 +34,30 @@
 //! # Liveness
 //!
 //! A buggy partition (or a deliberately miswired queue) must fail, not
-//! hang. Three independent guards ensure the runtime always returns:
+//! hang. Three guards, all run by the stage threads, ensure it returns:
 //!
-//! 1. the internal monitor detects true deadlock — every live thread
-//!    blocked on an unsatisfiable queue operation — and returns
-//!    [`RtError::Deadlock`] naming the blocked threads;
+//! 1. the monitor detects true deadlock — every live thread blocked on an
+//!    unsatisfiable queue operation — and returns [`RtError::Deadlock`]
+//!    naming the blocked threads;
 //! 2. a shared step budget ([`RtConfig::step_limit`]) stops runaway loops
 //!    with [`RtError::StepLimit`];
-//! 3. a wall-clock watchdog ([`RtConfig::watchdog`]) aborts the run with
+//! 3. a no-progress watchdog ([`RtConfig::watchdog`]) aborts the run with
 //!    [`RtError::Watchdog`] if *no thread makes progress* for the
 //!    configured duration — a backstop for livelock the first two guards
-//!    cannot see.
+//!    cannot see, checked on every poll of a stage blocked in the monitor.
 //!
 //! # Crash safety
 //!
-//! Each stage thread runs under `catch_unwind`. When a stage panics, the
-//! recovery layer records [`RtError::StagePanic`] (first error wins),
-//! poisons every queue so blocked peers wake and shut down, and sets the
-//! abort flag — the run returns a structured error instead of propagating
-//! the panic or deadlocking the surviving stages. Two cooperative controls
-//! complete the picture: a per-run wall-clock deadline
+//! Each stage thread runs under `catch_unwind`. A panic, like every other
+//! failure, takes the one shutdown path: record [`RtError::StagePanic`]
+//! (first error wins), set the abort flag, poison every queue, and wake
+//! every blocked stage — the run returns a structured error instead of
+//! propagating the panic or deadlocking the surviving stages. Two
+//! cooperative controls complete the picture: a per-run wall-clock deadline
 //! ([`RtConfig::deadline`] → [`RtError::Timeout`] with a diagnosis of
 //! *which* stage was stuck and how far it got) and an external
-//! [`CancelToken`] ([`RtError::Cancelled`]).
+//! [`CancelToken`] ([`RtError::Cancelled`]), both checked by running stages
+//! at every budget refill and by blocked ones on every monitor poll.
 //!
 //! The [`fault`] module provides deterministic seeded fault injection
 //! ([`FaultPlan`]) for exercising all of this; the chaos differential
@@ -263,7 +264,8 @@ impl std::error::Error for RtError {}
 ///
 /// Clone the token, hand one clone to [`RtConfig::cancel`], keep the other,
 /// and call [`cancel`](Self::cancel) from any thread; the run aborts with
-/// [`RtError::Cancelled`] within one watchdog poll interval (~10 ms).
+/// [`RtError::Cancelled`] within one budget batch (1024 instructions) of a
+/// running stage, or one monitor poll (at most 20 ms) of a blocked one.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -548,47 +550,33 @@ impl<'p> Runtime<'p> {
             queues: (0..program.num_queues as usize)
                 .map(|_| queue::SpscQueue::new(queue_capacity, self.config.record_streams))
                 .collect(),
-            monitor: Monitor::new(num_threads),
+            monitor: Monitor::new(num_threads).limits(&self.config),
             batches,
             steps_claimed: AtomicU64::new(0),
             step_limit: self.config.step_limit,
-            abort: AtomicBool::new(false),
-            progress: AtomicU64::new(0),
-            stage_steps: (0..num_threads).map(|_| AtomicU64::new(0)).collect(),
             faults: self.config.faults.as_ref(),
         };
 
         let started = Instant::now();
-        // The watchdog thread sleeps on a condvar and wakes periodically to
-        // compare the progress heartbeat and check the deadline and cancel
-        // token; it adds no latency to the run itself (workers are joined
-        // directly). True deadlock is detected much faster by the monitor.
-        let done = (std::sync::Mutex::new(false), std::sync::Condvar::new());
         let reports: Vec<WorkerReport> = std::thread::scope(|s| {
             let shared = &shared;
             let handles: Vec<_> = (0..num_threads)
                 .map(|t| {
                     s.spawn(move || {
-                        // Crash recovery: catch the unwind, record the
-                        // failure FIRST (first error wins — the panic is
-                        // the primary cause, the poisoned queues are its
-                        // effect), then poison every queue so blocked
-                        // peers wake up and shut down, then raise the
-                        // abort flag for the running ones.
+                        // Crash recovery: catch the unwind and shut the run
+                        // down with the panic as its cause.
                         catch_unwind(AssertUnwindSafe(|| run_worker(shared, t))).unwrap_or_else(
                             |payload| {
-                                shared.monitor.fail(RtError::StagePanic {
-                                    stage: t,
-                                    message: panic_message(&*payload),
-                                });
-                                for q in &shared.queues {
-                                    q.poison();
-                                }
-                                shared.abort.store(true, Ordering::Relaxed);
-                                shared.monitor.notify_activity();
+                                shared.monitor.shutdown(
+                                    RtError::StagePanic {
+                                        stage: t,
+                                        message: panic_message(&*payload),
+                                    },
+                                    &shared.queues,
+                                );
                                 WorkerReport {
                                     end: WorkerEnd::Panicked,
-                                    steps: shared.stage_steps[t].load(Ordering::Relaxed),
+                                    steps: shared.monitor.stage_steps[t].load(Ordering::Relaxed),
                                     entry_regs: Vec::new(),
                                     wall: Duration::ZERO,
                                     blocked: Duration::ZERO,
@@ -602,87 +590,13 @@ impl<'p> Runtime<'p> {
                     })
                 })
                 .collect();
-
-            let done = &done;
-            let watchdog_limit = self.config.watchdog;
-            let deadline = self.config.deadline;
-            let cancel = self.config.cancel.clone();
-            let watchdog = s.spawn(move || {
-                let (lock, cvar) = done;
-                let mut finished = lock
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let mut last_progress = shared.progress.load(Ordering::Relaxed);
-                let mut last_change = Instant::now();
-                let mut fired = false;
-                let fail = |err: RtError| {
-                    shared.abort.store(true, Ordering::Relaxed);
-                    shared.monitor.fail(err);
-                    // Poison all queues so permanently-blocked workers
-                    // (e.g. under an injected permanent stall) re-check
-                    // their operation, observe the verdict, and exit.
-                    for q in &shared.queues {
-                        q.poison();
-                    }
-                };
-                while !*finished {
-                    let (guard, _) = cvar
-                        .wait_timeout(finished, Duration::from_millis(10))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    finished = guard;
-                    if *finished {
-                        break;
-                    }
-                    if fired {
-                        continue;
-                    }
-                    if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                        fired = true;
-                        fail(RtError::Cancelled);
-                        continue;
-                    }
-                    if deadline.is_some_and(|d| started.elapsed() >= d) {
-                        fired = true;
-                        let stage = shared
-                            .monitor
-                            .first_blocked()
-                            .map(|(t, _)| t)
-                            .unwrap_or_else(|| min_steps_stage(&shared.stage_steps));
-                        fail(RtError::Timeout {
-                            stage,
-                            last_progress: shared.stage_steps[stage].load(Ordering::Relaxed),
-                        });
-                        continue;
-                    }
-                    let p = shared.progress.load(Ordering::Relaxed);
-                    if p != last_progress {
-                        last_progress = p;
-                        last_change = Instant::now();
-                    } else if last_change.elapsed() >= watchdog_limit {
-                        fired = true;
-                        fail(RtError::Watchdog {
-                            stalled_for: watchdog_limit,
-                        });
-                    }
-                }
-            });
-
-            let reports = handles
+            handles
                 .into_iter()
                 .map(|h| {
                     h.join()
                         .expect("catch_unwind in the stage closure never unwinds")
                 })
-                .collect();
-            let (lock, cvar) = &done;
-            *lock
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = true;
-            cvar.notify_all();
-            watchdog
-                .join()
-                .expect("watchdog thread has no panicking path");
-            reports
+                .collect()
         });
         let elapsed = started.elapsed();
 
@@ -733,17 +647,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// The stage that retired the fewest instructions — the [`RtError::Timeout`]
-/// diagnosis when no stage is parked on the monitor (e.g. all are spinning).
-fn min_steps_stage(stage_steps: &[AtomicU64]) -> usize {
-    stage_steps
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.load(Ordering::Relaxed))
-        .map(|(t, _)| t)
-        .unwrap_or(0)
 }
 
 /// Convenience wrapper: runs `program` with `config` and returns the

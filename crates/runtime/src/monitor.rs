@@ -1,9 +1,9 @@
-//! Global blocking coordination and deadlock detection.
+//! Global blocking coordination, deadlock detection and liveness limits.
 //!
 //! The queue fast path is lock-free; a stage thread only arrives here after
 //! spinning on a full (produce) or empty (consume) queue. The [`Monitor`]
 //! parks such threads on a condition variable and — because it sees every
-//! blocked thread at once — doubles as the runtime's *watchdog brain*: when
+//! blocked thread at once — is the runtime's only liveness authority: when
 //! every live thread is blocked and no blocked operation can ever be
 //! satisfied, it issues a structured verdict instead of letting the process
 //! hang.
@@ -26,14 +26,17 @@
 //! deadlocks that the unbatched runtime would not have.
 //!
 //! Waiters poll with a bounded `wait_timeout`, so a lost wakeup costs
-//! milliseconds, never liveness.
+//! milliseconds, never liveness. Every poll also checks cancel, the
+//! deadline and the no-progress watchdog; running stages check the first
+//! two at budget refills. Every failure ends the run through
+//! [`Monitor::shutdown`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::queue::SpscQueue;
-use crate::RtError;
+use crate::{CancelToken, RtConfig, RtError};
 
 /// Which side of a queue a thread is blocked on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +106,8 @@ struct MonState {
     /// Whether thread `t` has terminated (halt or terminate sentinel).
     terminated: Vec<bool>,
     verdict: Option<Verdict>,
+    /// The heartbeat as last seen by the liveness check, and since when.
+    heartbeat: (u64, Instant),
 }
 
 /// The runtime-global coordination object.
@@ -113,6 +118,18 @@ pub(crate) struct Monitor {
     /// Fast-path hint: number of threads currently inside [`wait`]. Lets
     /// queue operations skip the mutex when nobody is parked.
     blocked_hint: AtomicUsize,
+    /// Raised by [`shutdown`](Self::shutdown); running stages stop at their
+    /// next budget refill or blocking attempt.
+    pub abort: AtomicBool,
+    /// Heartbeat: bumped at every budget refill, every completed blocked
+    /// operation and every stage end.
+    pub progress: AtomicU64,
+    /// Per-stage retired-instruction counters, refreshed at budget
+    /// refills: the timeout diagnosis, and a crashed stage's step count.
+    pub stage_steps: Vec<AtomicU64>,
+    cancel: Option<CancelToken>,
+    deadline: Option<Instant>,
+    watchdog: Duration,
 }
 
 /// Whether a blocked operation could complete right now. A poisoned queue
@@ -153,10 +170,26 @@ impl Monitor {
                 blocked: vec![None; num_threads],
                 terminated: vec![false; num_threads],
                 verdict: None,
+                heartbeat: (0, Instant::now()),
             }),
             cond: Condvar::new(),
             blocked_hint: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            progress: AtomicU64::new(0),
+            stage_steps: (0..num_threads).map(|_| AtomicU64::new(0)).collect(),
+            cancel: None,
+            deadline: None,
+            watchdog: Duration::MAX,
         }
+    }
+
+    /// Enforces `config`'s cancel token, deadline (counted from now) and
+    /// watchdog.
+    pub fn limits(mut self, config: &RtConfig) -> Self {
+        self.cancel = config.cancel.clone();
+        self.deadline = config.deadline.and_then(|d| Instant::now().checked_add(d));
+        self.watchdog = config.watchdog;
+        self
     }
 
     /// Locks the shared state, tolerating mutex poisoning: a stage thread
@@ -169,27 +202,27 @@ impl Monitor {
 
     /// Quiescence check, called with the state lock held: if every live
     /// thread is blocked and nothing in any blocked thread's wait set is
-    /// satisfiable, nothing can ever happen again — decide Park vs
-    /// Deadlock.
-    fn quiescent_verdict(st: &MonState, queues: &[SpscQueue]) -> Option<Verdict> {
+    /// satisfiable, nothing can ever happen again — park the run if main
+    /// has terminated, otherwise shut it down as deadlocked. Returns whether
+    /// it issued a verdict.
+    fn settle_if_quiescent(&self, st: &mut MonState, queues: &[SpscQueue]) -> bool {
         let all_stopped = st
             .blocked
             .iter()
             .zip(&st.terminated)
             .all(|(b, &t)| t || b.is_some());
-        if !all_stopped {
-            return None;
-        }
-        if st
-            .blocked
-            .iter()
-            .flatten()
-            .any(|s| satisfiable_set(s, queues))
+        if !all_stopped
+            || st
+                .blocked
+                .iter()
+                .flatten()
+                .any(|s| satisfiable_set(s, queues))
         {
-            return None;
+            return false;
         }
         if st.terminated[0] {
-            Some(Verdict::Park)
+            st.verdict = Some(Verdict::Park);
+            self.cond.notify_all();
         } else {
             let blocked = st
                 .blocked
@@ -198,34 +231,85 @@ impl Monitor {
                 .filter(|(_, b)| b.is_some())
                 .map(|(t, _)| t)
                 .collect();
-            Some(Verdict::Fail(RtError::Deadlock { blocked }))
+            self.shutdown_locked(st, RtError::Deadlock { blocked }, queues);
         }
+        true
+    }
+
+    /// The liveness check, with the state lock held: cancel, then the
+    /// deadline — blaming the lowest-numbered blocked stage, else the one
+    /// that retired the fewest instructions — then no heartbeat for the
+    /// watchdog duration.
+    fn expired(&self, st: &mut MonState) -> Option<RtError> {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Some(RtError::Cancelled);
+        }
+        let now = Instant::now();
+        if self.deadline.is_some_and(|d| now >= d) {
+            let steps = |t: usize| self.stage_steps[t].load(Ordering::Relaxed);
+            let stage = st.blocked.iter().position(Option::is_some);
+            let stage = stage
+                .unwrap_or_else(|| (0..st.blocked.len()).min_by_key(|&t| steps(t)).unwrap_or(0));
+            return Some(RtError::Timeout {
+                stage,
+                last_progress: steps(stage),
+            });
+        }
+        let beat = self.progress.load(Ordering::Relaxed);
+        if beat != st.heartbeat.0 {
+            st.heartbeat = (beat, now);
+        } else if now.duration_since(st.heartbeat.1) >= self.watchdog {
+            return Some(RtError::Watchdog {
+                stalled_for: self.watchdog,
+            });
+        }
+        None
+    }
+
+    /// A running stage's check at each budget refill: shuts the run down if
+    /// cancel or the deadline has fired, and says whether it is aborting.
+    /// Lock-free until then; reads the clock only when a deadline is set.
+    pub fn should_stop(&self, queues: &[SpscQueue]) -> bool {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+            || self.deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            let mut st = self.lock();
+            if let Some(err) = self.expired(&mut st) {
+                self.shutdown_locked(&mut st, err, queues);
+            }
+        }
+        self.abort.load(Ordering::Relaxed)
     }
 
     /// Blocks `thread` on `set` until anything in it becomes satisfiable or
-    /// a verdict is issued. Re-runs the quiescence check on every poll, so
-    /// whichever thread blocks last detects deadlock within one poll
-    /// interval.
+    /// a verdict is issued. Re-runs the liveness and quiescence checks on
+    /// every poll, so whichever thread blocks last detects deadlock within
+    /// one poll interval, and a blocked run notices cancel, its deadline or
+    /// a stall within one poll of it.
     pub fn wait(&self, thread: usize, set: &WaitSet, queues: &[SpscQueue]) -> WaitOutcome {
         let mut st = self.lock();
         st.blocked[thread] = Some(set.clone());
         self.blocked_hint.fetch_add(1, Ordering::Relaxed);
         let outcome = loop {
-            // Satisfiability first: a value that arrived just before a Park
-            // verdict cannot exist (Park requires global unsatisfiability),
-            // and SPSC ownership means a satisfiable operation stays
-            // satisfiable until *this* thread performs it.
-            if satisfiable_set(set, queues) {
-                break WaitOutcome::Ready;
-            }
+            // The verdict first: a failure ends every wait, and nothing
+            // can become satisfiable after a Park verdict.
             match st.verdict {
                 Some(Verdict::Park) => break WaitOutcome::Park,
                 Some(Verdict::Fail(_)) => break WaitOutcome::Fail,
                 None => {}
             }
-            if let Some(v) = Self::quiescent_verdict(&st, queues) {
-                st.verdict = Some(v);
-                self.cond.notify_all();
+            // The limits before satisfiability, so a permanently stalled
+            // (always satisfiable) operation still polls them.
+            if let Some(err) = self.expired(&mut st) {
+                self.shutdown_locked(&mut st, err, queues);
+                continue;
+            }
+            // SPSC ownership: a satisfiable operation stays satisfiable
+            // until *this* thread performs it.
+            if satisfiable_set(set, queues) {
+                break WaitOutcome::Ready;
+            }
+            if self.settle_if_quiescent(&mut st, queues) {
                 continue;
             }
             let (guard, _timed_out) = self
@@ -245,20 +329,37 @@ impl Monitor {
         let mut st = self.lock();
         st.terminated[thread] = true;
         if st.verdict.is_none() {
-            if let Some(v) = Self::quiescent_verdict(&st, queues) {
-                st.verdict = Some(v);
-            }
+            self.settle_if_quiescent(&mut st, queues);
         }
         self.cond.notify_all();
     }
 
-    /// Issues a failure verdict (first error wins) and wakes every waiter.
-    pub fn fail(&self, err: RtError) {
-        let mut st = self.lock();
+    /// The one shutdown path, taken by every failure: a stage panic, a
+    /// worker fault or step limit, a poisoned queue, deadlock, the
+    /// watchdog, the deadline and cancel.
+    pub fn shutdown(&self, err: RtError, queues: &[SpscQueue]) {
+        self.shutdown_locked(&mut self.lock(), err, queues);
+    }
+
+    /// Records the verdict first — the first error wins, so the cause and
+    /// not its poisoned-queue aftermath is reported — then raises the abort
+    /// flag, poisons every queue so stalled operations give up, and wakes
+    /// every waiter.
+    fn shutdown_locked(&self, st: &mut MonState, err: RtError, queues: &[SpscQueue]) {
         if st.verdict.is_none() {
             st.verdict = Some(Verdict::Fail(err));
         }
+        self.abort.store(true, Ordering::Relaxed);
+        for q in queues {
+            q.poison();
+        }
         self.cond.notify_all();
+    }
+
+    /// Issues a failure verdict with no queues to poison.
+    #[cfg(test)]
+    pub fn fail(&self, err: RtError) {
+        self.shutdown(err, &[]);
     }
 
     /// Wakes blocked threads after a successful queue operation. Cheap
@@ -273,17 +374,6 @@ impl Monitor {
     /// The final verdict, if any.
     pub fn verdict(&self) -> Option<Verdict> {
         self.lock().verdict.clone()
-    }
-
-    /// The lowest-numbered thread currently blocked inside [`wait`](Self::wait)
-    /// and what it is blocked on — the deadline watchdog's diagnosis of
-    /// *where* a timed-out run is stuck.
-    pub fn first_blocked(&self) -> Option<(usize, BlockInfo)> {
-        self.lock()
-            .blocked
-            .iter()
-            .enumerate()
-            .find_map(|(t, b)| b.as_ref().map(|set| (t, set.primary)))
     }
 }
 

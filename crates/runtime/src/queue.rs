@@ -37,6 +37,11 @@ struct CacheLine<T>(T);
 /// Number of power-of-two histogram buckets: sizes 1, 2–3, 4–7, … , ≥128.
 const HIST_BUCKETS: usize = 8;
 
+/// The histogram bucket of a batch of `n` values (0 counts as 1).
+fn bucket(n: usize) -> usize {
+    (n | 1).ilog2().min(HIST_BUCKETS as u32 - 1) as usize
+}
+
 /// Single-writer histogram of batch sizes. Only the owning endpoint thread
 /// (producer for flushes, consumer for refills) records into it, so plain
 /// load+store on the atomics is exact — the atomics exist only so the
@@ -50,8 +55,7 @@ struct Histo {
 
 impl Histo {
     fn record(&self, n: usize) {
-        let b = (usize::BITS - 1 - (n | 1).leading_zeros()).min(HIST_BUCKETS as u32 - 1) as usize;
-        let bucket = &self.buckets[b];
+        let bucket = &self.buckets[bucket(n)];
         bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         self.count
             .store(self.count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -92,8 +96,7 @@ impl BatchHistogram {
     /// Records one batch of `n` values (single-owner accumulation — the
     /// worker-side counterpart of [`Histo::record`]).
     pub(crate) fn add(&mut self, n: usize) {
-        let b = (usize::BITS - 1 - (n | 1).leading_zeros()).min(HIST_BUCKETS as u32 - 1) as usize;
-        self.buckets[b] += 1;
+        self.buckets[bucket(n)] += 1;
         self.count += 1;
         self.sum += n as u64;
     }

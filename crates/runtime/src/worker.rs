@@ -48,7 +48,7 @@
 //! bit-identical; lethal faults are converted by the recovery layer in
 //! `lib.rs` into structured [`RtError`]s.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use dswp_ir::exec::{new_frame, step, Engine, Fault, Flow, Frame, StepError};
@@ -60,8 +60,8 @@ use crate::queue::{BatchHistogram, SpscQueue};
 use crate::RtError;
 
 /// Steps claimed from the shared budget at a time; also the cadence of
-/// abort-flag checks, progress heartbeats, and opportunistic flushes of
-/// lingering output buffers.
+/// abort, cancel and deadline checks, progress heartbeats, and
+/// opportunistic flushes of lingering output buffers.
 const STEP_BATCH: u64 = 1024;
 /// Busy-spin iterations on a blocked queue before yielding.
 const SPINS: u32 = 64;
@@ -81,15 +81,6 @@ pub(crate) struct Shared<'p> {
     /// Total steps claimed across all threads (runaway guard).
     pub steps_claimed: AtomicU64,
     pub step_limit: u64,
-    /// Set on any failure verdict; running threads stop at the next batch
-    /// boundary or blocking attempt.
-    pub abort: AtomicBool,
-    /// Heartbeat for the wall-clock watchdog in `Runtime::run`.
-    pub progress: AtomicU64,
-    /// Per-stage retired-instruction counters, refreshed at batch
-    /// boundaries: the deadline watchdog's `last_progress` diagnosis, and
-    /// the best-effort step count of a crashed stage.
-    pub stage_steps: Vec<AtomicU64>,
     /// Fault-injection plan, if any.
     pub faults: Option<&'p FaultPlan>,
 }
@@ -286,8 +277,8 @@ fn side_flush(shared: &Shared<'_>, out: &mut [Vec<i64>]) {
 /// the non-blocking queue operation, returning the first consumed value
 /// (or 0 for flushes) on completion; it may make partial progress across
 /// calls. `forced_fails` attempts are failed artificially first (fault
-/// injection; `u32::MAX` stalls the operation forever — the watchdog or
-/// deadline then ends the run).
+/// injection; `u32::MAX` stalls the operation forever — the monitor's
+/// watchdog, deadline or cancel check then ends the run).
 ///
 /// While waiting, the worker side-flushes its other pending output
 /// buffers (`out`) and registers them in its monitor [`WaitSet`], so
@@ -354,7 +345,7 @@ fn comm_wait(
                 shared.monitor.notify_activity();
                 break Ok(v);
             }
-            if shared.abort.load(Ordering::Relaxed) {
+            if shared.monitor.abort.load(Ordering::Relaxed) {
                 break Err(QueueStop::End(WorkerEnd::Aborted));
             }
             side_flush(shared, out);
@@ -383,7 +374,7 @@ fn comm_wait(
                 }
             }
         };
-    shared.progress.fetch_add(1, Ordering::Relaxed);
+    shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
     *blocked_time += began.elapsed();
     outcome
 }
@@ -547,8 +538,7 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     let mut budget: u64 = 0;
 
     let fail = |err: RtError| {
-        shared.abort.store(true, Ordering::Relaxed);
-        shared.monitor.fail(err);
+        shared.monitor.shutdown(err, &shared.queues);
         WorkerEnd::Aborted
     };
     // Converts the stop of a blocking queue operation.
@@ -569,9 +559,9 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
                 break 'run fail(RtError::StepLimit(shared.step_limit));
             }
             budget = STEP_BATCH.min(shared.step_limit - base);
-            shared.progress.fetch_add(1, Ordering::Relaxed);
-            shared.stage_steps[thread].store(steps, Ordering::Relaxed);
-            if shared.abort.load(Ordering::Relaxed) {
+            shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
+            shared.monitor.stage_steps[thread].store(steps, Ordering::Relaxed);
+            if shared.monitor.should_stop(&shared.queues) {
                 break 'run WorkerEnd::Aborted;
             }
             // Cadence flush: don't let buffered values linger while this
@@ -624,8 +614,8 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     if end == WorkerEnd::Terminated {
         shared.monitor.terminate(thread, &shared.queues);
     }
-    shared.stage_steps[thread].store(steps, Ordering::Relaxed);
-    shared.progress.fetch_add(1, Ordering::Relaxed);
+    shared.monitor.stage_steps[thread].store(steps, Ordering::Relaxed);
+    shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
 
     WorkerReport {
         end,

@@ -227,6 +227,55 @@ fn cancel_from_another_thread_aborts_run() {
 }
 
 #[test]
+fn cancel_reaches_a_permanently_stalled_stage() {
+    // Stage 1 never completes a refill, so stage 0 soon blocks on a full
+    // queue: no stage is running when the token fires, and the watchdog
+    // is far away.
+    let p = ping_pong(10_000);
+    let plan = FaultPlan::none(2).with_stall(
+        1,
+        StallFault {
+            every: 1,
+            attempts: 0,
+            permanent: true,
+        },
+    );
+    let token = CancelToken::new();
+    let remote = token.clone();
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(30));
+        remote.cancel();
+    });
+    let err = Runtime::new(&p)
+        .with_config(
+            RtConfig::default()
+                .faults(plan)
+                .watchdog(Duration::from_secs(30))
+                .cancel_token(token),
+        )
+        .run()
+        .unwrap_err();
+    canceller.join().unwrap();
+    assert_eq!(err, RtError::Cancelled);
+}
+
+#[test]
+fn deadline_stops_a_running_stage() {
+    // The only stage never blocks, so the deadline must be noticed by the
+    // running stage itself.
+    let p = spin_forever();
+    let err = Runtime::new(&p)
+        .with_config(
+            RtConfig::default()
+                .watchdog(Duration::from_secs(30))
+                .deadline(Duration::from_millis(50)),
+        )
+        .run()
+        .unwrap_err();
+    assert!(matches!(err, RtError::Timeout { stage: 0, .. }), "{err}");
+}
+
+#[test]
 fn bad_indirect_target_is_reported() {
     let mut pb = ProgramBuilder::new();
     let mut f = pb.function("main");

@@ -9,7 +9,7 @@
 //!
 //!   --dswp                 apply automatic DSWP to the selected loop
 //!   --loop bbN             select the loop with this header (default: hottest)
-//!   --unroll K             unroll the selected loop K times first
+//!   --unroll K             unroll the selected loop K times first (K >= 2)
 //!   --alias MODE           conservative | region | precise   (default region)
 //!   --threads N            pipeline stages to target          (default 2)
 //!   --stats                print Table 1-style loop statistics
@@ -211,6 +211,7 @@ fn parse_args() -> Args {
                 args.unroll = Some(
                     it.next()
                         .and_then(|v| v.parse::<usize>().ok())
+                        .filter(|&k| k >= 2)
                         .unwrap_or_else(|| usage()),
                 );
             }

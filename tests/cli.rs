@@ -219,6 +219,8 @@ fn bad_replicate_arguments_exit_with_usage() {
         vec![fixture("doall.ir"), "--replicate".into(), "0".into()],
         vec![fixture("doall.ir"), "--replicate".into(), "two".into()],
         vec![fixture("doall.ir"), "--replicate".into()],
+        vec![fixture("wc.ir"), "--unroll".into(), "0".into()],
+        vec![fixture("wc.ir"), "--unroll".into(), "1".into()],
     ] {
         let argv: Vec<&str> = args.iter().map(String::as_str).collect();
         let out = dswpc(&argv);
