@@ -10,19 +10,20 @@
 //! * serving as the correctness oracle against which DSWP-transformed
 //!   programs are compared.
 //!
-//! Instructions execute through the shared stepper
-//! [`exec::step`](crate::exec::step); the interpreter supplies plain
-//! memory, counts steps (`halt` included) and bumps the profile on every
-//! branch and call. Queue instructions cannot execute in a single context
+//! A run lowers the program into a [`Code`] and executes it in one
+//! [`Code::run`], the executor every engine shares; the interpreter
+//! supplies plain memory, counts steps (`halt` included) and profiles
+//! through the [`Engine::enter`] hook, which fires on every retired branch,
+//! jump and call. Queue instructions cannot execute in a single context
 //! and yield [`InterpError::QueueOpInSingleThread`]; transformed programs
-//! run on the multi-context engines, which step through the same code. The
-//! exact arithmetic is defined here: [`eval_unary`], [`eval_binary`] and
-//! [`eval_cmp`].
+//! run on the multi-context engines, which execute the same lowered code.
+//! The exact arithmetic is defined here: [`eval_unary`], [`eval_binary`]
+//! and [`eval_cmp`].
 
 use std::fmt;
 
 pub use crate::exec::DEFAULT_STEP_LIMIT;
-use crate::exec::{checked_read, checked_write, new_frame, step, Engine, Fault, Flow, StepError};
+use crate::exec::{checked_read, checked_write, Code, Engine, Exit, Fault};
 use crate::op::{BinOp, CmpOp, UnOp};
 use crate::program::Program;
 use crate::types::{BlockId, FuncId, InstrId, QueueId};
@@ -75,6 +76,7 @@ impl fmt::Display for InterpError {
 impl std::error::Error for InterpError {}
 
 /// Exact value semantics of unary operations.
+#[inline]
 pub fn eval_unary(op: UnOp, v: i64) -> i64 {
     match op {
         UnOp::Mov => v,
@@ -94,6 +96,7 @@ pub fn eval_unary(op: UnOp, v: i64) -> i64 {
 
 /// Exact value semantics of binary operations (wrapping; division by zero
 /// yields 0).
+#[inline]
 pub fn eval_binary(op: BinOp, a: i64, b: i64) -> i64 {
     let fa = || f64::from_bits(a as u64);
     let fb = || f64::from_bits(b as u64);
@@ -130,6 +133,7 @@ pub fn eval_binary(op: BinOp, a: i64, b: i64) -> i64 {
 }
 
 /// Exact value semantics of comparisons (result is 0 or 1).
+#[inline]
 pub fn eval_cmp(op: CmpOp, a: i64, b: i64) -> i64 {
     let r = match op {
         CmpOp::Eq => a == b,
@@ -171,10 +175,6 @@ impl Profile {
             .and_then(|w| w.get(block.index()))
             .copied()
             .unwrap_or(0)
-    }
-
-    fn bump(&mut self, func: FuncId, block: BlockId) {
-        self.weights[func.index()][block.index()] += 1;
     }
 
     /// Merges another profile into this one by summing weights.
@@ -230,53 +230,72 @@ impl<'p> Interpreter<'p> {
     /// invalid indirect calls or step-limit exhaustion.
     pub fn run(&self) -> Result<RunResult, InterpError> {
         let program = self.program;
-        let mut memory = SingleContext(program.initial_memory.clone());
-        let mut profile = Profile::zeroed(program);
-        let mut steps: u64 = 0;
-
+        let code = Code::new(program);
+        let mut engine = SingleContext {
+            memory: program.initial_memory.clone(),
+            entries: program
+                .functions()
+                .iter()
+                .map(|f| vec![0; f.num_instrs()])
+                .collect(),
+        };
         let entry = program.main();
-        let mut stack = vec![new_frame(program.function(entry), entry)];
-        profile.bump(entry, program.function(entry).entry());
+        let mut stack = vec![code.frame(entry)];
+        engine.enter(entry, stack[0].pc);
 
-        loop {
-            if steps >= self.step_limit {
-                return Err(InterpError::StepLimit(self.step_limit));
+        let out = code.run(&mut stack, &mut engine, self.step_limit);
+        match out.exit {
+            Exit::Halt => {}
+            Exit::Budget => return Err(InterpError::StepLimit(self.step_limit)),
+            Exit::Stop(QueueOp) => {
+                let instr = code.instr_id(&stack[stack.len() - 1]);
+                return Err(InterpError::QueueOpInSingleThread(instr));
             }
-            steps += 1;
-            match step(program, &mut stack, &mut memory) {
-                Ok(Flow::Next | Flow::Ret) => {}
-                Ok(Flow::Branch(block)) => profile.bump(stack[stack.len() - 1].func, block),
-                Ok(Flow::Call(callee)) => profile.bump(callee, program.function(callee).entry()),
-                Ok(Flow::Halt) => break,
-                Err(StepError::Stop(QueueOp)) => {
-                    let (instr, _) = stack[stack.len() - 1].fetch(program);
-                    return Err(InterpError::QueueOpInSingleThread(instr));
-                }
-                Err(StepError::Fault(f)) => {
-                    return Err(match f {
-                        Fault::MemoryOutOfBounds { address } => InterpError::MemoryOutOfBounds {
-                            address,
-                            size: memory.0.len(),
-                        },
-                        Fault::BadIndirectTarget(v) => InterpError::BadIndirectTarget(v),
-                        Fault::ReturnFromEntry => InterpError::ReturnFromEntry,
-                    })
-                }
+            Exit::Fault(f) => {
+                return Err(match f {
+                    Fault::MemoryOutOfBounds { address } => InterpError::MemoryOutOfBounds {
+                        address,
+                        size: engine.memory.len(),
+                    },
+                    Fault::BadIndirectTarget(v) => InterpError::BadIndirectTarget(v),
+                    Fault::ReturnFromEntry => InterpError::ReturnFromEntry,
+                })
             }
         }
 
-        let entry_regs = stack.first().map(|f| f.regs.clone()).unwrap_or_default();
+        // A block's weight is the count of entries at its first instruction
+        // (an empty block, which a verified program never has, has none).
+        let weights = program
+            .functions()
+            .iter()
+            .zip(&engine.entries)
+            .enumerate()
+            .map(|(fi, (f, entries))| {
+                let func = FuncId::from_index(fi);
+                f.block_ids()
+                    .map(|b| match f.block(b).instrs() {
+                        [] => 0,
+                        _ => entries[code.block_start(func, b)],
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(RunResult {
-            memory: memory.0,
-            entry_regs,
-            steps,
-            profile,
+            memory: engine.memory,
+            entry_regs: code.entry_regs(&stack),
+            // The final `halt` counts as a step.
+            steps: out.retired + 1,
+            profile: Profile { weights },
         })
     }
 }
 
-/// The interpreter's [`Engine`]: program memory, and no queues.
-struct SingleContext(Vec<i64>);
+/// The interpreter's [`Engine`]: program memory, no queues, and the number
+/// of times control entered each instruction index of each function.
+struct SingleContext {
+    memory: Vec<i64>,
+    entries: Vec<Vec<u64>>,
+}
 
 /// A queue instruction reached the single-context interpreter.
 struct QueueOp;
@@ -285,11 +304,11 @@ impl Engine for SingleContext {
     type Stop = QueueOp;
 
     fn load(&mut self, addr: i64) -> Option<i64> {
-        checked_read(&self.0, addr)
+        checked_read(&self.memory, addr)
     }
 
     fn store(&mut self, addr: i64, value: i64) -> bool {
-        checked_write(&mut self.0, addr, value)
+        checked_write(&mut self.memory, addr, value)
     }
 
     fn produce(&mut self, _: QueueId, _: i64) -> Result<(), QueueOp> {
@@ -302,6 +321,10 @@ impl Engine for SingleContext {
 
     fn depth(&mut self, _: QueueId) -> Result<i64, QueueOp> {
         Err(QueueOp)
+    }
+
+    fn enter(&mut self, func: FuncId, pc: usize) {
+        self.entries[func.index()][pc] += 1;
     }
 }
 
@@ -371,6 +394,13 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, InterpError::StepLimit(1000));
+
+        // The boundary: the interpreter counts the final `halt`, so the
+        // 59 steps of `sum_loop(10)` pass a limit of 59 and fail at 58.
+        let p = sum_loop(10);
+        let run = |limit| Interpreter::new(&p).with_step_limit(limit).run();
+        assert_eq!(run(59).unwrap().steps, 59);
+        assert_eq!(run(58).unwrap_err(), InterpError::StepLimit(58));
     }
 
     #[test]

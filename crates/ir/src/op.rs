@@ -371,26 +371,19 @@ impl Op {
 
     /// The registers read by this instruction, in operand order.
     pub fn uses(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(2);
-        let mut push = |o: Operand| {
-            if let Operand::Reg(r) = o {
-                out.push(r);
-            }
-        };
-        match *self {
-            Op::Unary { src, .. } => push(src),
-            Op::Binary { lhs, rhs, .. } | Op::Cmp { lhs, rhs, .. } => {
-                push(lhs);
-                push(rhs);
-            }
-            Op::Load { addr, .. } => out.push(addr),
-            Op::Store { src, addr, .. } => {
-                push(src);
-                out.push(addr);
-            }
-            Op::Br { cond, .. } => out.push(cond),
-            Op::CallInd { target } => out.push(target),
-            Op::Produce { src, .. } => push(src),
+        self.use_regs().collect()
+    }
+
+    /// The registers read by this instruction, in operand order, without
+    /// allocating (at most two).
+    pub fn use_regs(&self) -> impl Iterator<Item = Reg> {
+        let (first, second) = match *self {
+            Op::Unary { src, .. } | Op::Produce { src, .. } => (src.as_reg(), None),
+            Op::Binary { lhs, rhs, .. } | Op::Cmp { lhs, rhs, .. } => (lhs.as_reg(), rhs.as_reg()),
+            Op::Load { addr, .. } => (Some(addr), None),
+            Op::Store { src, addr, .. } => (src.as_reg(), Some(addr)),
+            Op::Br { cond, .. } => (Some(cond), None),
+            Op::CallInd { target } => (Some(target), None),
             Op::Const { .. }
             | Op::Call { .. }
             | Op::Jump { .. }
@@ -400,9 +393,9 @@ impl Op {
             | Op::ProduceToken { .. }
             | Op::ConsumeToken { .. }
             | Op::QueueDepth { .. }
-            | Op::Nop => {}
-        }
-        out
+            | Op::Nop => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Rewrites every register mentioned by this instruction through `f`.

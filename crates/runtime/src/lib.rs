@@ -25,8 +25,8 @@
 //! flushes on blocking waits, stage end, and a step cadence so batching
 //! never changes observable results or liveness, only timing.
 //!
-//! Every engine executes instructions through one stepper,
-//! `dswp_ir::exec::step`, so a DSWP-transformed program must produce
+//! Every engine executes the program's lowered form through one executor,
+//! `dswp_ir::exec::Code::run`, so a DSWP-transformed program must produce
 //! **bit-identical observable results** (final memory, main entry
 //! registers, per-queue value streams) on all of them. The differential test suite at the workspace root
 //! asserts exactly that over every paper workload.
@@ -140,7 +140,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dswp_ir::exec::MULTI_CONTEXT_STEP_LIMIT;
+use dswp_ir::exec::{Code, MULTI_CONTEXT_STEP_LIMIT};
 use dswp_ir::Program;
 
 use monitor::{Monitor, Verdict};
@@ -542,6 +542,7 @@ impl<'p> Runtime<'p> {
             .collect();
         let shared = Shared {
             program,
+            code: Code::new(program),
             memory: program
                 .initial_memory
                 .iter()
@@ -845,6 +846,36 @@ mod tests {
             .run()
             .unwrap_err();
         assert_eq!(err, RtError::StepLimit(10_000));
+
+        // The boundary: a stage claims its budget 1024 steps at a time and
+        // its `halt` spends one unit of it without being counted, so the
+        // 5008 steps of this single-stage loop span five claims and pass a
+        // limit of one more.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let (e, header, body, exit) = (f.entry_block(), f.block("h"), f.block("b"), f.block("x"));
+        let (i, sum, done, base) = (f.reg(), f.reg(), f.reg(), f.reg());
+        f.switch_to(e);
+        f.iconst(i, 0);
+        f.iconst(sum, 0);
+        f.iconst(base, 0);
+        f.jump(header);
+        f.switch_to(header);
+        f.cmp_ge(done, i, 1_000);
+        f.br(done, exit, body);
+        f.switch_to(body);
+        f.add(sum, sum, i);
+        f.add(i, i, 1);
+        f.jump(header);
+        f.switch_to(exit);
+        f.store(sum, base, 0);
+        f.halt();
+        let main = f.finish();
+        let p = pb.finish(main, 1);
+        let run = |limit| run_native(&p, RtConfig::default().step_limit(limit));
+        let ok = run(5_008).unwrap();
+        assert_eq!((ok.memory[0], ok.stages[0].steps), (499_500, 5_007));
+        assert_eq!(run(5_007).unwrap_err(), RtError::StepLimit(5_007));
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! The per-stage worker: one OS thread interpreting one hardware context.
 //!
-//! Each DSWP pipeline stage runs this loop on its own `std::thread`. Every
-//! instruction executes through `dswp_ir::exec::step`, the stepper the
-//! other three engines share; the worker supplies only shared memory, the
-//! batched queues, the step budget and the fault hooks (its `Stage`
-//! engine), so the native runtime cannot drift from the interpreter, the
-//! functional executor or the timing model on anything but scheduling.
+//! Each DSWP pipeline stage runs this loop on its own `std::thread`, over
+//! the [`Code`] that `Runtime::run` lowered once before spawning. Every
+//! instruction executes through `Code::run`, the executor the other three
+//! engines share; the worker supplies only shared memory, the batched
+//! queues, the step budget and the fault hooks (its `Stage` engine), so the
+//! native runtime cannot drift from the interpreter, the functional
+//! executor or the timing model on anything but scheduling.
+//!
+//! There is one loop for every stage. Without a fault plan it hands the
+//! executor a whole claimed budget (up to `STEP_BATCH` instructions) per
+//! call. With a plan, it calls the same executor one instruction at a time
+//! and runs the per-instruction fault hook before each, so the fault
+//! cadence is exact.
 //!
 //! Shared program memory is a `Vec<AtomicI64>` accessed with relaxed
 //! loads/stores; cross-stage ordering comes from the queues' release/acquire
@@ -51,7 +58,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dswp_ir::exec::{new_frame, step, Engine, Fault, Flow, Frame, StepError};
+use dswp_ir::exec::{Code, Engine, Exit, Fault, Frame};
 use dswp_ir::{Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
@@ -73,6 +80,8 @@ const YIELDS: u32 = 32;
 #[derive(Debug)]
 pub(crate) struct Shared<'p> {
     pub program: &'p Program,
+    /// The program, lowered once for every stage.
+    pub code: Code,
     pub memory: Vec<AtomicI64>,
     pub queues: Vec<SpscQueue>,
     pub monitor: Monitor,
@@ -531,11 +540,12 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
         blocked: Duration::ZERO,
         backoff: Backoff::default(),
     };
-    let program = shared.program;
-    let entry = program.thread_entries()[thread];
-    let mut stack: Vec<Frame> = vec![new_frame(program.function(entry), entry)];
+    let code = &shared.code;
+    let entry = shared.program.thread_entries()[thread];
+    let mut stack: Vec<Frame> = vec![code.frame(entry)];
     let mut steps: u64 = 0;
     let mut budget: u64 = 0;
+    let hooked = shared.faults.is_some();
 
     let fail = |err: RtError| {
         shared.monitor.shutdown(err, &shared.queues);
@@ -568,23 +578,25 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
             // stage computes without touching its queues.
             side_flush(shared, &mut stage.comm.out);
         }
-        budget -= 1;
-        steps += 1;
-        stage.faults.on_step(thread, steps, &shared.queues);
-
-        match step(program, &mut stack, &mut stage) {
-            Ok(Flow::Halt) => {
-                // Neither `halt` nor the terminate sentinel is a counted
-                // step (executor parity).
-                steps -= 1;
-                break 'run WorkerEnd::Terminated;
-            }
-            Ok(_) => {}
-            Err(StepError::Stop(stop)) => {
-                steps -= 1; // the op never completed
-                break 'run queue_stop(stop);
-            }
-            Err(StepError::Fault(f)) => {
+        // With a fault plan, the hook runs before every attempt (a halt or a
+        // stopped queue operation included) with the count the instruction
+        // would retire as, and the executor runs that one instruction.
+        let max = if hooked {
+            stage.faults.on_step(thread, steps + 1, &shared.queues);
+            1
+        } else {
+            budget
+        };
+        let out = code.run(&mut stack, &mut stage, max);
+        steps += out.retired;
+        budget -= out.retired;
+        match out.exit {
+            Exit::Budget => {}
+            // Neither `halt` nor the terminate sentinel is a counted step
+            // (executor parity).
+            Exit::Halt => break 'run WorkerEnd::Terminated,
+            Exit::Stop(stop) => break 'run queue_stop(stop),
+            Exit::Fault(f) => {
                 break 'run fail(match f {
                     Fault::MemoryOutOfBounds { address } => RtError::MemoryOutOfBounds {
                         address,
@@ -620,7 +632,7 @@ pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
     WorkerReport {
         end,
         steps,
-        entry_regs: stack.first().map(|f| f.regs.clone()).unwrap_or_default(),
+        entry_regs: code.entry_regs(&stack),
         wall: started.elapsed(),
         blocked: stage.blocked,
         retries: stage.backoff.retries,

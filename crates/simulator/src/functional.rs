@@ -1,10 +1,11 @@
 //! A multi-context *functional* executor: exact semantics, no timing.
 //!
-//! Runs every hardware context round-robin, one instruction at a time
-//! through the shared stepper [`dswp_ir::exec::step`], with unbounded FIFO
-//! queues. `consume` blocks while its queue is empty (the context retries
-//! it on its next turn); `produce` never blocks. `halt` is not a counted
-//! step. Used as the fast correctness oracle for
+//! Lowers the program once into a [`Code`] and runs every hardware context
+//! round-robin through the shared executor [`Code::run`], a quantum of 128
+//! instructions per turn, with unbounded FIFO queues. `consume` blocks
+//! while its queue is empty (the context retries it on its next turn);
+//! `produce` never blocks. `halt` is not a counted step. Used as the fast
+//! correctness oracle for
 //! DSWP-transformed programs: the observable result (final memory + main
 //! thread's entry-frame registers) must equal the single-threaded
 //! interpreter's result on the original program.
@@ -17,8 +18,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use dswp_ir::exec::{
-    checked_read, checked_write, new_frame, step, Engine, Fault, Flow, Frame, StepError,
-    MULTI_CONTEXT_STEP_LIMIT,
+    checked_read, checked_write, Code, Engine, Exit, Fault, Frame, MULTI_CONTEXT_STEP_LIMIT,
 };
 use dswp_ir::{Program, QueueId};
 
@@ -94,6 +94,9 @@ pub struct ExecResult {
     pub streams: Vec<Vec<i64>>,
 }
 
+/// Instructions a context may retire per round-robin turn.
+const QUANTUM: u64 = 128;
+
 struct Context {
     stack: Vec<Frame>,
     halted: bool,
@@ -141,11 +144,12 @@ impl<'p> Executor<'p> {
             streams: vec![Vec::new(); program.num_queues as usize],
             max_occupancy: 0,
         };
+        let code = Code::new(program);
         let mut contexts: Vec<Context> = program
             .thread_entries()
             .iter()
             .map(|&entry| Context {
-                stack: vec![new_frame(program.function(entry), entry)],
+                stack: vec![code.frame(entry)],
                 halted: false,
             })
             .collect();
@@ -155,37 +159,43 @@ impl<'p> Executor<'p> {
         loop {
             let mut any_progress = false;
             for (t, ctx) in contexts.iter_mut().enumerate() {
+                if ctx.halted {
+                    continue;
+                }
                 // Run each context until it blocks, halts, or exhausts a
-                // small quantum (keeps round-robin fair yet fast).
-                let mut quantum = 128;
-                while quantum > 0 && !ctx.halted {
-                    quantum -= 1;
-                    if total_steps >= self.step_limit {
+                // small quantum (keeps round-robin fair yet fast). Every
+                // attempt, a halt or a blocked consume included, needs a
+                // step left under the limit.
+                if total_steps >= self.step_limit {
+                    return Err(ExecError::StepLimit(self.step_limit));
+                }
+                let out = code.run(
+                    &mut ctx.stack,
+                    &mut fifos,
+                    QUANTUM.min(self.step_limit - total_steps),
+                );
+                steps[t] += out.retired;
+                total_steps += out.retired;
+                any_progress |= out.retired > 0;
+                match out.exit {
+                    // A short budget was cut by the limit, with quantum left.
+                    Exit::Budget if out.retired < QUANTUM => {
                         return Err(ExecError::StepLimit(self.step_limit));
                     }
-                    match step(program, &mut ctx.stack, &mut fifos) {
-                        Ok(Flow::Halt) => {
-                            ctx.halted = true;
-                            any_progress = true;
-                        }
-                        Ok(_) => {
-                            steps[t] += 1;
-                            total_steps += 1;
-                            any_progress = true;
-                        }
-                        Err(StepError::Stop(Blocked)) => break,
-                        Err(StepError::Fault(f)) => {
-                            return Err(match f {
-                                Fault::MemoryOutOfBounds { address } => {
-                                    ExecError::MemoryOutOfBounds {
-                                        address,
-                                        size: fifos.memory.len(),
-                                    }
-                                }
-                                Fault::BadIndirectTarget(v) => ExecError::BadIndirectTarget(v),
-                                Fault::ReturnFromEntry => ExecError::ReturnFromEntry(t),
-                            })
-                        }
+                    Exit::Budget | Exit::Stop(Blocked) => {}
+                    Exit::Halt => {
+                        ctx.halted = true;
+                        any_progress = true;
+                    }
+                    Exit::Fault(f) => {
+                        return Err(match f {
+                            Fault::MemoryOutOfBounds { address } => ExecError::MemoryOutOfBounds {
+                                address,
+                                size: fifos.memory.len(),
+                            },
+                            Fault::BadIndirectTarget(v) => ExecError::BadIndirectTarget(v),
+                            Fault::ReturnFromEntry => ExecError::ReturnFromEntry(t),
+                        })
                     }
                 }
             }
@@ -208,11 +218,7 @@ impl<'p> Executor<'p> {
             }
         }
 
-        let entry_regs = contexts[0]
-            .stack
-            .first()
-            .map(|f| f.regs.clone())
-            .unwrap_or_default();
+        let entry_regs = code.entry_regs(&contexts[0].stack);
         Ok(ExecResult {
             memory: fifos.memory,
             entry_regs,
@@ -430,5 +436,14 @@ mod tests {
         let p = pb.finish(main, 0);
         let err = Executor::new(&p).with_step_limit(1_000).run().unwrap_err();
         assert_eq!(err, ExecError::StepLimit(1000));
+
+        // The boundary: `halt` is not a counted step, but every attempt —
+        // a halt or a blocked consume included — first checks the limit.
+        // The 509 + 506 steps of `ping_pong(100)` pass a limit of one more and
+        // fail at exactly their sum.
+        let p = ping_pong(100);
+        let run = |limit| Executor::new(&p).with_step_limit(limit).run();
+        assert_eq!(run(1_016).unwrap().steps, [509, 506]);
+        assert_eq!(run(1_015).unwrap_err(), ExecError::StepLimit(1_015));
     }
 }

@@ -15,19 +15,20 @@
 //!   blocking-queue semantics;
 //! * control transfers pay a front-end redirect bubble.
 //!
-//! Execution is *execute-at-issue*: an instruction that passes the issue
-//! checks executes through the shared stepper [`dswp_ir::exec::step`] in
-//! the cycle it issues; timing constraints (scoreboard + queue
-//! visibility) guarantee cross-core ordering matches the dependences, so
-//! the simulation is also a correct functional execution.
+//! Execution is *execute-at-issue*: the program is lowered once into a
+//! [`Code`], and an instruction that passes the issue checks — which read
+//! the IR instruction at the program counter through [`Code::instr_id`],
+//! without allocating — executes through the shared executor [`Code::run`]
+//! with a budget of one instruction in the cycle it issues; timing
+//! constraints (scoreboard + queue visibility) guarantee cross-core
+//! ordering matches the dependences, so the simulation is also a correct
+//! functional execution.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt;
 
-use dswp_ir::exec::{
-    checked_read, checked_write, new_frame, step, Engine, Fault, Flow, Frame, StepError,
-};
+use dswp_ir::exec::{checked_read, checked_write, Code, Engine, Exit, Fault, Frame};
 use dswp_ir::{Op, Program, QueueId};
 
 use crate::cache::{CacheModel, CacheStats};
@@ -303,6 +304,7 @@ impl<'p> Machine<'p> {
     /// See [`SimError`].
     pub fn run(&self) -> Result<SimResult, SimError> {
         let program = self.program;
+        let code = Code::new(program);
         let cfg = &self.config;
         let num_cores = program.num_threads();
         let mut uncore = Uncore {
@@ -321,7 +323,7 @@ impl<'p> Machine<'p> {
             .map(|&e| {
                 let f = program.function(e);
                 Core {
-                    stack: vec![new_frame(f, e)],
+                    stack: vec![code.frame(e)],
                     ready: vec![vec![0; f.num_regs() as usize]],
                     halted: false,
                     next_issue: 0,
@@ -356,7 +358,7 @@ impl<'p> Machine<'p> {
                 core.stats.active_cycles += 1;
                 uncore.core = c;
                 uncore.cycle = cycle;
-                match issue_cycle(program, cfg, core, &mut uncore)? {
+                match issue_cycle(program, &code, cfg, core, &mut uncore)? {
                     CycleOutcome::Issued(n) => {
                         debug_assert!(n > 0);
                         stall_flags[2] = true;
@@ -402,11 +404,7 @@ impl<'p> Machine<'p> {
             cycle += 1;
         }
 
-        let entry_regs = cores[0]
-            .stack
-            .first()
-            .map(|f| f.regs.clone())
-            .unwrap_or_default();
+        let entry_regs = code.entry_regs(&cores[0].stack);
         Ok(SimResult {
             cycles: cycle,
             memory: uncore.memory,
@@ -427,6 +425,7 @@ enum CycleOutcome {
 /// Issues as many instructions as the cycle allows on one core.
 fn issue_cycle(
     program: &Program,
+    code: &Code,
     cfg: &MachineConfig,
     core: &mut Core,
     uncore: &mut Uncore,
@@ -441,7 +440,7 @@ fn issue_cycle(
 
     'issue: while issued < cfg.issue_width {
         let frame = core.stack.last().expect("live core has a frame");
-        let (_, op) = frame.fetch(program);
+        let op = program.function(frame.func).op(code.instr_id(frame));
         let ready = core.ready.last_mut().expect("one scoreboard per frame");
 
         // Structural: M-port limit.
@@ -450,11 +449,9 @@ fn issue_cycle(
             break 'issue;
         }
         // Scoreboard: all sources ready.
-        for u in op.uses() {
-            if ready[u.index()] > cycle {
-                first_block.get_or_insert(StallReason::Data);
-                break 'issue;
-            }
+        if op.use_regs().any(|u| ready[u.index()] > cycle) {
+            first_block.get_or_insert(StallReason::Data);
+            break 'issue;
         }
         // Queue availability.
         match *op {
@@ -477,10 +474,11 @@ fn issue_cycle(
         }
 
         // ---- issue: execute functionally, assign latency ----
-        let flow = match step(program, &mut core.stack, uncore) {
-            Ok(flow) => flow,
-            Err(StepError::Stop(never)) => match never {},
-            Err(StepError::Fault(f)) => {
+        let halted = match code.run(&mut core.stack, uncore, 1).exit {
+            Exit::Budget => false,
+            Exit::Halt => true,
+            Exit::Stop(never) => match never {},
+            Exit::Fault(f) => {
                 return Err(match f {
                     Fault::MemoryOutOfBounds { address } => SimError::MemoryOutOfBounds {
                         address,
@@ -491,6 +489,7 @@ fn issue_cycle(
                 })
             }
         };
+        // The core retires its `halt` (or terminate sentinel) too.
         core.stats.retired += 1;
         issued += 1;
         if op.is_m_type() {
@@ -499,26 +498,27 @@ fn issue_cycle(
         if op.is_queue_op() {
             core.stats.queue_ops += 1;
         }
-        match flow {
-            Flow::Next => {
+        if halted {
+            core.halted = true;
+            break 'issue;
+        }
+        match *op {
+            Op::Br { .. } | Op::Jump { .. } => {}
+            Op::Call { .. } | Op::CallInd { .. } => {
+                let callee = core.stack.last().expect("a call pushed a frame").func;
+                let regs = program.function(callee).num_regs() as usize;
+                core.ready.push(vec![0; regs]);
+            }
+            Op::Ret => {
+                core.ready.pop();
+            }
+            _ => {
                 if let Some(dst) = op.def() {
                     let lat = uncore.load_latency.take().unwrap_or(cfg.latency.op(op));
                     ready[dst.index()] = cycle + lat;
                 }
                 continue 'issue;
             }
-            Flow::Halt => {
-                core.halted = true;
-                break 'issue;
-            }
-            Flow::Call(callee) => {
-                let regs = program.function(callee).num_regs() as usize;
-                core.ready.push(vec![0; regs]);
-            }
-            Flow::Ret => {
-                core.ready.pop();
-            }
-            Flow::Branch(_) => {}
         }
         // Control transfer: front-end redirect bubble.
         core.next_issue = cycle + 1 + cfg.taken_branch_bubble;

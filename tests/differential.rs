@@ -24,7 +24,7 @@ use common::assert_native_matches_executor;
 use dswp_repro::dswp::{dswp_loop, DswpOptions, PipelineMap};
 use dswp_repro::ir::interp::{Interpreter, RunResult};
 use dswp_repro::ir::Program;
-use dswp_repro::rt::{RtConfig, Runtime};
+use dswp_repro::rt::{FaultPlan, RtConfig, Runtime};
 use dswp_repro::sim::{Executor, Machine, MachineConfig};
 use dswp_repro::workloads::{paper_suite, Size, Workload};
 
@@ -74,33 +74,51 @@ fn native_runtime_matches_oracle_on_every_workload() {
         let exec = Executor::new(&transformed)
             .run()
             .unwrap_or_else(|e| panic!("{}: executor failed: {e}", w.name));
-        let native = Runtime::new(&transformed)
-            .with_config(RtConfig::default().record_streams(true))
-            .run()
-            .unwrap_or_else(|e| panic!("{}: native runtime failed: {e}", w.name));
-
-        // Output memory: all three engines agree.
         assert_eq!(
             exec.memory, baseline.memory,
             "{}: executor vs baseline",
             w.name
         );
-        assert_eq!(
-            native.memory, baseline.memory,
-            "{}: native vs baseline",
-            w.name
-        );
 
-        // Return value (entry-frame registers of the main context).
-        assert_eq!(native.entry_regs, exec.entry_regs, "{}: entry regs", w.name);
+        // The plain run executes in budgeted batches; an empty fault plan
+        // sends the same program through the one-instruction path with the
+        // fault hooks. Both must match the oracle exactly.
+        let plain = RtConfig::default().record_streams(true);
+        let hooked = plain
+            .clone()
+            .faults(FaultPlan::none(transformed.num_threads()));
+        for (path, config) in [("budgeted", plain), ("fault-plan", hooked)] {
+            let native = Runtime::new(&transformed)
+                .with_config(config)
+                .run()
+                .unwrap_or_else(|e| panic!("{} ({path}): native runtime failed: {e}", w.name));
 
-        // Produce/consume value streams, per queue, in production order.
-        let streams = native.streams.as_ref().expect("streams recorded");
-        assert_eq!(streams, &exec.streams, "{}: queue streams", w.name);
+            // Output memory: all three engines agree.
+            assert_eq!(
+                native.memory, baseline.memory,
+                "{} ({path}): native vs baseline",
+                w.name
+            );
 
-        // Retired instructions per context.
-        let native_steps: Vec<u64> = native.stages.iter().map(|s| s.steps).collect();
-        assert_eq!(native_steps, exec.steps, "{}: per-context steps", w.name);
+            // Return value (entry-frame registers of the main context).
+            assert_eq!(
+                native.entry_regs, exec.entry_regs,
+                "{} ({path}): entry regs",
+                w.name
+            );
+
+            // Produce/consume value streams, per queue, in production order.
+            let streams = native.streams.as_ref().expect("streams recorded");
+            assert_eq!(streams, &exec.streams, "{} ({path}): queue streams", w.name);
+
+            // Retired instructions per context.
+            let native_steps: Vec<u64> = native.stages.iter().map(|s| s.steps).collect();
+            assert_eq!(
+                native_steps, exec.steps,
+                "{} ({path}): per-context steps",
+                w.name
+            );
+        }
 
         // Step-count conventions, untransformed and DSWP: the Interpreter
         // and the Machine count each context's final `halt` (or terminate

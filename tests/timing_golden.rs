@@ -5,7 +5,7 @@
 //!
 //! The benchmark's `sim_speedup` is a geomean over these kernels, and a
 //! geomean can hide per-kernel errors that cancel out; this table cannot.
-//! Any change to the timing model, the stepper or the DSWP transformation
+//! Any change to the timing model, the executor or the DSWP transformation
 //! that moves a single cycle on a single kernel fails here. If such a
 //! change is intended, re-derive the table and say why in the change log.
 
