@@ -18,8 +18,9 @@
 //!   backpressure and deadlock detection.
 //!
 //! The synchronization-array gap the paper glosses over — its hardware
-//! `produce`/`consume` cost ~a cycle, a software queue costs a cross-core
-//! cache-line transfer per cursor update — is attacked with **batched
+//! `produce`/`consume` cost ~a cycle, a software queue costs at least a
+//! cross-core cache-line transfer per value (the ring is built so that
+//! the slot is the only one) — is attacked further with **batched
 //! communication** ([`BatchPolicy`]): values are accumulated in per-queue
 //! local buffers and published/acquired a chunk at a time, with forced
 //! flushes on blocking waits, stage end, and a step cadence so batching
@@ -291,12 +292,12 @@ impl CancelToken {
 ///
 /// The paper's hardware synchronization array makes `produce`/`consume`
 /// roughly one cycle each; a software SPSC queue pays a cross-core
-/// cache-line transfer per cursor update instead. Batching amortizes that
-/// cost over a chunk of values. Correctness is batch-size-independent —
-/// the worker force-flushes on blocking waits, stage end, and every
-/// `STEP_BATCH` retired instructions, and consumers never wait for a full
-/// chunk — so the policy only trades latency for synchronization
-/// throughput.
+/// cache-line transfer per value and per cursor publication instead.
+/// Batching amortizes the cursor publications over a chunk of values.
+/// Correctness is batch-size-independent — the worker force-flushes on
+/// blocking waits, stage end, and every `STEP_BATCH` retired instructions,
+/// and consumers never wait for a full chunk — so the policy only trades
+/// latency for synchronization throughput.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchPolicy {
     /// Use this chunk size on every queue (1 = unbatched, the default).
@@ -370,7 +371,8 @@ impl Default for RtConfig {
 }
 
 impl RtConfig {
-    /// Sets the per-queue capacity (must be at least 1).
+    /// Sets the per-queue capacity: at least 1 and at most
+    /// [`queue::MAX_CAPACITY`], or [`Runtime::run`] panics.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self

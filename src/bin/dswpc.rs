@@ -20,7 +20,8 @@
 //!   --run [functional|native]  execute the program: `functional` on the
 //!                          deterministic executor (default), `native` on
 //!                          real OS threads (one per pipeline stage)
-//!   --queue-cap N          native queue capacity in values     (default 32)
+//!   --queue-cap N          native queue capacity in values     (default 32,
+//!                          at most 2^20 = 1048576)
 //!   --batch N|auto         native communication batch: values per queue
 //!                          publish (`auto` derives it from the capacity;
 //!                          token queues are capped low; default 1)
@@ -52,6 +53,7 @@ use dswp_repro::dswp::{
 use dswp_repro::ir::interp::Interpreter;
 use dswp_repro::ir::verify::verify_program;
 use dswp_repro::ir::{parse_program, to_text, BlockId};
+use dswp_repro::rt::queue::MAX_CAPACITY;
 use dswp_repro::rt::{silence_injected_panics, BatchPolicy, FaultPlan, RtConfig, RtError, Runtime};
 use dswp_repro::sim::{Executor, Machine, MachineConfig};
 
@@ -157,7 +159,7 @@ fn parse_args() -> Args {
                 args.queue_cap = it
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
+                    .filter(|n| (1..=MAX_CAPACITY).contains(n))
                     .unwrap_or_else(|| usage());
             }
             "--batch" => {

@@ -221,6 +221,23 @@ fn bad_replicate_arguments_exit_with_usage() {
         vec![fixture("doall.ir"), "--replicate".into()],
         vec![fixture("wc.ir"), "--unroll".into(), "0".into()],
         vec![fixture("wc.ir"), "--unroll".into(), "1".into()],
+        // One above the runtime's `MAX_CAPACITY`, and a value whose
+        // power-of-two rounding would overflow: both rejected while
+        // parsing, before any queue is allocated.
+        vec![
+            fixture("pipeline.ir"),
+            "--run".into(),
+            "native".into(),
+            "--queue-cap".into(),
+            "1048577".into(),
+        ],
+        vec![
+            fixture("pipeline.ir"),
+            "--run".into(),
+            "native".into(),
+            "--queue-cap".into(),
+            usize::MAX.to_string(),
+        ],
     ] {
         let argv: Vec<&str> = args.iter().map(String::as_str).collect();
         let out = dswpc(&argv);
