@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation (Figure 6) reports *modeled* cycle counts; this
 //! binary measures what the `dswp-sim` timing model can only predict: real
-//! wall-clock time of the DSWP-transformed program running one OS thread
-//! per pipeline stage (`dswp-rt`), against the untransformed program
+//! wall-clock time of the DSWP-transformed program running every pipeline
+//! stage on a thread of its own (`dswp-rt`), against the untransformed program
 //! running on the same runtime with a single stage. Both sides pay the
 //! same interpretation overhead, so the ratio isolates the pipeline-
 //! parallelism effect (decoupling wins vs. per-value queue cost).

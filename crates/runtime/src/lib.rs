@@ -12,7 +12,9 @@
 //!   correctness oracle;
 //! * the cycle-level `Machine` (also `dswp-sim`) times the pipeline on
 //!   simulated in-order cores;
-//! * this [`Runtime`] spawns **one OS thread per pipeline stage** and
+//! * this [`Runtime`] runs **every pipeline stage on an OS thread of its
+//!   own at once** — stage 0 on the calling thread, the others on parked
+//!   workers of a process-wide pool, so a warm run starts no thread — and
 //!   implements the synchronization array as bounded lock-free SPSC
 //!   ring-buffer queues ([`queue::SpscQueue`]), with park/unpark
 //!   backpressure and deadlock detection.
@@ -49,7 +51,8 @@
 //!
 //! # Crash safety
 //!
-//! Each stage thread runs under `catch_unwind`. A panic, like every other
+//! Each stage runs under `catch_unwind`, stage 0 on the caller's thread
+//! included. A panic, like every other
 //! failure, takes the one shutdown path: record [`RtError::StagePanic`]
 //! (first error wins), set the abort flag, poison every queue, and wake
 //! every blocked stage — the run returns a structured error instead of
@@ -126,6 +129,7 @@
 //! assert_eq!(result.memory[0], 45);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -133,12 +137,13 @@ pub mod fault;
 pub mod queue;
 
 pub(crate) mod monitor;
+pub(crate) mod pool;
 pub(crate) mod worker;
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use dswp_ir::exec::{Code, MULTI_CONTEXT_STEP_LIMIT};
@@ -441,7 +446,8 @@ pub struct StageStats {
     /// Successfully executed instructions (comparable to the functional
     /// executor's per-context step counts).
     pub steps: u64,
-    /// Total wall-clock lifetime of the stage thread.
+    /// Wall-clock time the stage ran, from its first instruction to its
+    /// report (it excludes the hand-over to a pool worker).
     pub wall: Duration,
     /// Portion of `wall` spent blocked on queue backpressure/starvation.
     pub blocked: Duration,
@@ -511,8 +517,12 @@ impl<'p> Runtime<'p> {
         self
     }
 
-    /// Runs every hardware context on its own OS thread until the program
-    /// completes (main halts and every other stage halts or parks).
+    /// Runs the program until it completes (main halts and every other
+    /// stage halts or parks), every hardware context on a thread of its
+    /// own: contexts 1.. on workers of the process-wide stage pool, which
+    /// starts a thread only when none of its workers is idle, and context 0
+    /// (main) on the calling thread. It returns only once every stage has
+    /// reported.
     ///
     /// # Errors
     ///
@@ -542,8 +552,8 @@ impl<'p> Runtime<'p> {
                     .max(1)
             })
             .collect();
-        let shared = Shared {
-            program,
+        let shared = Arc::new(Shared {
+            entries: program.thread_entries().to_vec(),
             code: Code::new(program),
             memory: program
                 .initial_memory
@@ -557,50 +567,23 @@ impl<'p> Runtime<'p> {
             batches,
             steps_claimed: AtomicU64::new(0),
             step_limit: self.config.step_limit,
-            faults: self.config.faults.as_ref(),
-        };
+            faults: self.config.faults.clone(),
+        });
 
         let started = Instant::now();
-        let reports: Vec<WorkerReport> = std::thread::scope(|s| {
-            let shared = &shared;
-            let handles: Vec<_> = (0..num_threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        // Crash recovery: catch the unwind and shut the run
-                        // down with the panic as its cause.
-                        catch_unwind(AssertUnwindSafe(|| run_worker(shared, t))).unwrap_or_else(
-                            |payload| {
-                                shared.monitor.shutdown(
-                                    RtError::StagePanic {
-                                        stage: t,
-                                        message: panic_message(&*payload),
-                                    },
-                                    &shared.queues,
-                                );
-                                WorkerReport {
-                                    end: WorkerEnd::Panicked,
-                                    steps: shared.monitor.stage_steps[t].load(Ordering::Relaxed),
-                                    entry_regs: Vec::new(),
-                                    wall: Duration::ZERO,
-                                    blocked: Duration::ZERO,
-                                    retries: 0,
-                                    parks: 0,
-                                    flushes: BatchHistogram::default(),
-                                    refills: BatchHistogram::default(),
-                                }
-                            },
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("catch_unwind in the stage closure never unwinds")
-                })
-                .collect()
-        });
+        // Stages 1.. go to the pool first, so they are live by the time
+        // stage 0, on the calling thread, needs them.
+        let (tx, rx) = mpsc::channel();
+        for t in 1..num_threads {
+            let shared = Arc::clone(&shared);
+            pool::execute(move || (t, run_stage(&shared, t)), tx.clone());
+        }
+        drop(tx);
+        let mut reports = vec![(0, run_stage(&shared, 0))];
+        reports.extend(
+            (1..num_threads).map(|_| rx.recv().expect("a pool stage ended without reporting")),
+        );
+        reports.sort_unstable_by_key(|&(t, _)| t);
         let elapsed = started.elapsed();
 
         if let Some(Verdict::Fail(err)) = shared.monitor.verdict() {
@@ -617,10 +600,10 @@ impl<'p> Runtime<'p> {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            entry_regs: reports[0].entry_regs.clone(),
+            entry_regs: reports[0].1.entry_regs.clone(),
             stages: reports
                 .iter()
-                .map(|r| StageStats {
+                .map(|(_, r)| StageStats {
                     steps: r.steps,
                     wall: r.wall,
                     blocked: r.blocked,
@@ -637,6 +620,31 @@ impl<'p> Runtime<'p> {
             elapsed,
         })
     }
+}
+
+/// Runs stage `t` under crash recovery: a panic shuts the run down with
+/// the panic as its cause, and the stage reports as panicked.
+fn run_stage(shared: &Shared, t: usize) -> WorkerReport {
+    catch_unwind(AssertUnwindSafe(|| run_worker(shared, t))).unwrap_or_else(|payload| {
+        shared.monitor.shutdown(
+            RtError::StagePanic {
+                stage: t,
+                message: panic_message(&*payload),
+            },
+            &shared.queues,
+        );
+        WorkerReport {
+            end: WorkerEnd::Panicked,
+            steps: shared.monitor.stage_steps[t].load(Ordering::Relaxed),
+            entry_regs: Vec::new(),
+            wall: Duration::ZERO,
+            blocked: Duration::ZERO,
+            retries: 0,
+            parks: 0,
+            flushes: BatchHistogram::default(),
+            refills: BatchHistogram::default(),
+        }
+    })
 }
 
 /// Renders a caught panic payload as text for [`RtError::StagePanic`].

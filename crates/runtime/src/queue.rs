@@ -453,7 +453,7 @@ impl SpscQueue {
         self.len() == self.capacity
     }
 
-    /// Final statistics. Exact once all stage threads have joined.
+    /// Final statistics. Exact once every stage of the run has reported.
     pub fn stats(&self) -> QueueStats {
         QueueStats {
             capacity: self.capacity,

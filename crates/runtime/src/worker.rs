@@ -1,7 +1,9 @@
-//! The per-stage worker: one OS thread interpreting one hardware context.
+//! The per-stage worker: one thread interpreting one hardware context.
 //!
-//! Each DSWP pipeline stage runs this loop on its own `std::thread`, over
-//! the [`Code`] that `Runtime::run` lowered once before spawning. Every
+//! Each DSWP pipeline stage runs this loop on a thread of its own — stage 0
+//! on the thread that called `Runtime::run`, the others on workers of the
+//! stage pool — over the [`Code`] that `Runtime::run` lowered once before
+//! handing the stages out. Every
 //! instruction executes through `Code::run`, the executor the other three
 //! engines share; the worker supplies only shared memory, the batched
 //! queues, the step budget and the fault hooks (its `Stage` engine), so the
@@ -64,7 +66,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use dswp_ir::exec::{Code, Engine, Exit, Fault, Frame};
-use dswp_ir::{Program, QueueId};
+use dswp_ir::{FuncId, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
 use crate::monitor::{BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
@@ -83,11 +85,12 @@ const YIELDS: u32 = 32;
 /// by a producer that found its queue full (see [`slip`]).
 const SLIP_MAX_PAUSES: u32 = 64;
 
-/// Everything the stage threads share. Borrows the program for the scope of
-/// the run (`std::thread::scope`).
+/// Everything the stages of one run share. It owns what it holds, so the
+/// calling thread and the pool workers share it through an `Arc`.
 #[derive(Debug)]
-pub(crate) struct Shared<'p> {
-    pub program: &'p Program,
+pub(crate) struct Shared {
+    /// Entry function of each hardware context.
+    pub entries: Vec<FuncId>,
     /// The program, lowered once for every stage.
     pub code: Code,
     pub memory: Vec<AtomicI64>,
@@ -99,7 +102,7 @@ pub(crate) struct Shared<'p> {
     pub steps_claimed: AtomicU64,
     pub step_limit: u64,
     /// Fault-injection plan, if any.
-    pub faults: Option<&'p FaultPlan>,
+    pub faults: Option<FaultPlan>,
 }
 
 /// How a worker's loop ended.
@@ -115,7 +118,8 @@ pub(crate) enum WorkerEnd {
     Panicked,
 }
 
-/// Per-stage outcome and statistics, returned through the scoped join.
+/// Per-stage outcome and statistics, reported to `Runtime::run` when the
+/// stage ends.
 #[derive(Clone, Debug)]
 pub(crate) struct WorkerReport {
     pub end: WorkerEnd,
@@ -124,7 +128,7 @@ pub(crate) struct WorkerReport {
     pub steps: u64,
     /// Entry-frame registers at the end of the run.
     pub entry_regs: Vec<i64>,
-    /// Total wall-clock time of this stage thread.
+    /// Wall-clock time this stage ran.
     pub wall: Duration,
     /// Portion of `wall` spent blocked on queues (spin + park).
     pub blocked: Duration,
@@ -288,7 +292,7 @@ struct Backoff {
 /// queues allow (never blocking). Called at budget-refill boundaries and
 /// from inside the blocking loop, so buffered values reach consumers even
 /// while this stage computes or waits on a different queue.
-fn side_flush(shared: &Shared<'_>, out: &mut [Vec<i64>]) {
+fn side_flush(shared: &Shared, out: &mut [Vec<i64>]) {
     let mut progress = false;
     for (qi, buf) in out.iter_mut().enumerate() {
         if buf.is_empty() {
@@ -358,7 +362,7 @@ fn slip(queue: &SpscQueue) {
 #[cold]
 #[allow(clippy::too_many_arguments)]
 fn comm_wait(
-    shared: &Shared<'_>,
+    shared: &Shared,
     thread: usize,
     info: BlockInfo,
     out: &mut [Vec<i64>],
@@ -432,8 +436,8 @@ fn comm_wait(
 
 /// A stage thread's [`Engine`]: shared memory, the batched queues, and the
 /// bookkeeping of its blocked waits.
-struct Stage<'s, 'p> {
-    shared: &'s Shared<'p>,
+struct Stage<'s> {
+    shared: &'s Shared,
     thread: usize,
     comm: Comm,
     faults: FaultSession,
@@ -442,7 +446,7 @@ struct Stage<'s, 'p> {
     backoff: Backoff,
 }
 
-impl Stage<'_, '_> {
+impl Stage<'_> {
     /// One blocking queue operation on `info.queue`: the first attempt runs
     /// here, with nothing set up for waiting, and only a failed attempt
     /// enters [`comm_wait`]. `attempt` is as there. The fault plan's stall
@@ -534,7 +538,7 @@ impl Stage<'_, '_> {
     }
 }
 
-impl Engine for Stage<'_, '_> {
+impl Engine for Stage<'_> {
     type Stop = QueueStop;
 
     fn load(&mut self, addr: i64) -> Option<i64> {
@@ -617,18 +621,18 @@ impl Engine for Stage<'_, '_> {
 
 /// Runs hardware context `thread` to completion. Errors are reported to the
 /// monitor (first failure wins) and surface as an `Aborted` report.
-pub(crate) fn run_worker(shared: &Shared<'_>, thread: usize) -> WorkerReport {
+pub(crate) fn run_worker(shared: &Shared, thread: usize) -> WorkerReport {
     let started = Instant::now();
     let mut stage = Stage {
         shared,
         thread,
         comm: Comm::new(shared.queues.len()),
-        faults: FaultSession::new(shared.faults, thread),
+        faults: FaultSession::new(shared.faults.as_ref(), thread),
         blocked: Duration::ZERO,
         backoff: Backoff::default(),
     };
     let code = &shared.code;
-    let entry = shared.program.thread_entries()[thread];
+    let entry = shared.entries[thread];
     let mut stack: Vec<Frame> = vec![code.frame(entry)];
     let mut steps: u64 = 0;
     let mut budget: u64 = 0;

@@ -19,7 +19,8 @@
 //!   --comm N               inter-core latency for --sim        (default 1)
 //!   --run [functional|native]  execute the program: `functional` on the
 //!                          deterministic executor (default), `native` on
-//!                          real OS threads (one per pipeline stage)
+//!                          real OS threads (stage 0 on the calling thread,
+//!                          the others on pooled stage workers)
 //!   --queue-cap N          native queue capacity in values     (default 32,
 //!                          at most 2^20 = 1048576)
 //!   --batch N|auto         native communication batch: values per queue
