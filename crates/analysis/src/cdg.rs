@@ -42,15 +42,14 @@ pub fn control_deps(g: &Graph, extra_exits: &[usize]) -> Vec<Vec<usize>> {
             let mut runner = Some(b);
             while runner != ipdom_a {
                 let Some(r) = runner else { break };
-                if !deps[r].contains(&a) {
-                    deps[r].push(a);
-                }
+                deps[r].push(a);
                 runner = pd.ipdom(r);
             }
         }
     }
     for d in &mut deps {
         d.sort_unstable();
+        d.dedup();
     }
     deps
 }
@@ -116,17 +115,15 @@ pub fn loop_control_deps(f: &Function, l: &NaturalLoop) -> Vec<LoopControlDep> {
             // is an artifact of the steady-state copy's internal back edge
             // and is really loop-carried.
             let carried = p_copy != q_copy || p_local == q_local;
-            let dep = LoopControlDep {
+            out.push(LoopControlDep {
                 branch_block: l.blocks[p_local],
                 dependent: l.blocks[q_local],
                 carried,
-            };
-            if !out.contains(&dep) {
-                out.push(dep);
-            }
+            });
         }
     }
-    out.sort();
+    out.sort_unstable();
+    out.dedup();
     out
 }
 

@@ -25,6 +25,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alias;
+mod bits;
 pub mod cdg;
 pub mod cfg;
 pub mod dataflow;
@@ -38,7 +39,7 @@ pub mod scev;
 
 pub use alias::{alias_query, AliasMode, AliasResult};
 pub use cdg::{control_deps, loop_control_deps, LoopControlDep};
-pub use dataflow::{loop_dataflow, Liveness, LoopDataFlow, RegDep};
+pub use dataflow::{loop_dataflow, Liveness, LoopDataFlow, RegDep, RegSet};
 pub use dom::{DomTree, PostDomTree};
 pub use dot::{dag_to_dot, pdg_to_dot};
 pub use graph::Graph;

@@ -102,12 +102,13 @@ impl DagScc {
         for v in 0..g.len() {
             for &w in g.succs(v) {
                 let (a, b) = (node_scc[v], node_scc[w]);
-                if a != b && !arcs.contains(&(a, b)) {
+                if a != b {
                     arcs.push((a, b));
                 }
             }
         }
         arcs.sort_unstable();
+        arcs.dedup();
         DagScc {
             sccs,
             node_scc,

@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the compiler passes and the simulator: PDG
 //! construction, SCC/DAG coalescing, the TPP heuristic, the full DSWP
-//! transformation, and timing-model throughput.
+//! transformation, timing-model throughput, and a per-kernel table of the
+//! analysis and compile cost of every `jobs` kernel (the 10 paper kernels
+//! plus `gzip` at `Size::Test`).
 //!
 //! Uses a small self-contained harness (median-of-samples over
 //! `std::time::Instant`) instead of an external benchmark framework so the
@@ -11,20 +13,21 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use dswp::{analyze_loop, dswp_loop, scc_costs, tpp_heuristic, DswpOptions, TppOptions};
-use dswp_analysis::{build_pdg, find_loops, AliasMode, DagScc, Liveness, PdgOptions};
+use dswp_analysis::{
+    build_pdg, find_loops, loop_dataflow, AliasMode, DagScc, Liveness, PdgOptions,
+};
 use dswp_ir::interp::Interpreter;
 use dswp_ir::LatencyTable;
 use dswp_sim::{Machine, MachineConfig};
-use dswp_workloads::{mcf, Size};
+use dswp_workloads::{gzip, mcf, paper_suite, Size};
 
-/// Runs `f` repeatedly and prints the median per-iteration time.
-fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-    const WARMUP: usize = 3;
-    const SAMPLES: usize = 15;
-    for _ in 0..WARMUP {
+/// Runs `f` `samples` times after a short warm-up and returns the median
+/// per-call time in µs.
+fn median_us<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
+    for _ in 0..3 {
         black_box(f());
     }
-    let mut times: Vec<u128> = (0..SAMPLES)
+    let mut times: Vec<u128> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();
             black_box(f());
@@ -32,11 +35,14 @@ fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
         })
         .collect();
     times.sort_unstable();
-    let median = times[SAMPLES / 2];
-    println!(
-        "{name:<32} {:>12.3} µs/iter (median of {SAMPLES})",
-        median as f64 / 1000.0
-    );
+    times[samples / 2] as f64 / 1000.0
+}
+
+/// Runs `f` repeatedly and prints the median per-iteration time.
+fn bench<T>(name: &str, f: impl FnMut() -> T) {
+    const SAMPLES: usize = 15;
+    let median = median_us(SAMPLES, f);
+    println!("{name:<32} {median:>12.3} µs/iter (median of {SAMPLES})");
 }
 
 fn bench_passes() {
@@ -111,8 +117,71 @@ fn bench_simulator() {
     });
 }
 
+/// Per-kernel analysis and compile cost of every `jobs` kernel: the
+/// register dataflow and the PDG of the normalized candidate loop, a whole
+/// `analyze_loop` (clone, normalize, PDG, SCCs) and a whole `dswp_loop`
+/// (which declines `gzip`, a single SCC, after analyzing it).
+fn bench_kernels() {
+    const SAMPLES: usize = 201;
+    let mut kernels = paper_suite(Size::Test);
+    kernels.push(gzip::build(Size::Test));
+    let opts = DswpOptions::default();
+    println!(
+        "\nper-kernel compile path, Size::Test, median of {SAMPLES} calls (µs)\n\
+         {:<12} {:>6} {:>6} {:>13} {:>10} {:>13} {:>10}",
+        "kernel", "instrs", "arcs", "loop_dataflow", "build_pdg", "analyze_loop", "dswp_loop"
+    );
+    let mut totals = [0.0f64; 4];
+    for w in &kernels {
+        let main = w.program.main();
+        let a = analyze_loop(&w.program, main, w.header, opts.alias).unwrap();
+        let f = a.normalized.function(main);
+        let liveness = Liveness::compute(f);
+        let profile = Interpreter::new(&w.program).run().unwrap().profile;
+        let pdg_opts = PdgOptions { alias: opts.alias };
+        let row = [
+            median_us(SAMPLES, || loop_dataflow(black_box(f), &a.loop_, &liveness)),
+            median_us(SAMPLES, || {
+                build_pdg(black_box(f), &a.loop_, &liveness, &pdg_opts)
+            }),
+            median_us(SAMPLES, || {
+                analyze_loop(black_box(&w.program), main, w.header, opts.alias)
+            }),
+            median_us(SAMPLES, || {
+                let mut p = w.program.clone();
+                dswp_loop(&mut p, main, w.header, &profile, &opts).is_ok()
+            }),
+        ];
+        for (t, v) in totals.iter_mut().zip(row) {
+            *t += v;
+        }
+        println!(
+            "{:<12} {:>6} {:>6} {:>13.1} {:>10.1} {:>13.1} {:>10.1}",
+            w.name,
+            a.pdg.num_instr_nodes(),
+            a.pdg.arcs().len(),
+            row[0],
+            row[1],
+            row[2],
+            row[3]
+        );
+    }
+    let n = kernels.len() as f64;
+    println!(
+        "{:<12} {:>6} {:>6} {:>13.1} {:>10.1} {:>13.1} {:>10.1}",
+        "mean",
+        "",
+        "",
+        totals[0] / n,
+        totals[1] / n,
+        totals[2] / n,
+        totals[3] / n
+    );
+}
+
 fn main() {
     println!("pass_costs micro-benchmarks (manual harness)\n");
     bench_passes();
     bench_simulator();
+    bench_kernels();
 }

@@ -22,7 +22,7 @@ use dswp_analysis::{build_pdg, find_loops, AliasMode, DagScc, Liveness, PdgOptio
 
 use crate::error::DswpError;
 use crate::estimate::{estimated_speedup, scc_costs, stage_times};
-use crate::normalize::normalize_loop;
+use crate::normalize::{normalize_loop, NormalizedLoop};
 use crate::partition::{tpp_heuristic, Partitioning, TppOptions};
 use crate::replicate::{
     replica_plans, replicable_stages, replicate_stage, Replicate, ReplicationInfo,
@@ -141,7 +141,7 @@ pub fn loop_stats(
 ) -> Result<LoopStats, DswpError> {
     // Work on a clone: stats must not mutate the program.
     let mut scratch = program.clone();
-    let (_pdg, dag, l) = analyze(&mut scratch, func, header, alias)?;
+    let Analyzed { dag, l, .. } = analyze(&mut scratch, func, header, alias)?;
     let f = scratch.function(func);
     let calls = l
         .blocks
@@ -188,7 +188,7 @@ pub fn analyze_loop(
     alias: AliasMode,
 ) -> Result<LoopAnalysis, DswpError> {
     let mut scratch = program.clone();
-    let (pdg, dag, l) = analyze(&mut scratch, func, header, alias)?;
+    let Analyzed { pdg, dag, l, .. } = analyze(&mut scratch, func, header, alias)?;
     Ok(LoopAnalysis {
         normalized: scratch,
         pdg,
@@ -197,18 +197,30 @@ pub fn analyze_loop(
     })
 }
 
+/// What [`analyze`] produces for one loop.
+struct Analyzed {
+    norm: NormalizedLoop,
+    /// The natural loop, re-discovered after normalization.
+    l: dswp_analysis::NaturalLoop,
+    pdg: dswp_analysis::Pdg,
+    dag: DagScc,
+}
+
+/// The analysis sequence shared by every loop-level entry point: verify
+/// `program`, normalize the loop with `header` in place, and build its PDG
+/// and `DAG_SCC`.
 fn analyze(
     program: &mut Program,
     func: FuncId,
     header: BlockId,
     alias: AliasMode,
-) -> Result<(dswp_analysis::Pdg, DagScc, dswp_analysis::NaturalLoop), DswpError> {
+) -> Result<Analyzed, DswpError> {
     check_program(program)?;
     let l = find_loops(program.function(func))
         .into_iter()
         .find(|l| l.header == header)
         .ok_or(DswpError::NoCandidateLoop)?;
-    let _norm = normalize_loop(program.function_mut(func), &l)?;
+    let norm = normalize_loop(program.function_mut(func), &l)?;
     let l = find_loops(program.function(func))
         .into_iter()
         .find(|l| l.header == header)
@@ -217,7 +229,7 @@ fn analyze(
     let liveness = Liveness::compute(f);
     let pdg = build_pdg(f, &l, &liveness, &PdgOptions { alias });
     let dag = DagScc::compute(&pdg.instr_graph());
-    Ok((pdg, dag, l))
+    Ok(Analyzed { norm, l, pdg, dag })
 }
 
 /// Structural-verification gate shared by the public loop-level entry
@@ -250,21 +262,8 @@ pub fn dswp_loop(
     profile: &Profile,
     opts: &DswpOptions,
 ) -> Result<DswpReport, DswpError> {
-    check_program(program)?;
-    // Normalize + analyze.
-    let l = find_loops(program.function(func))
-        .into_iter()
-        .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
-    let norm = normalize_loop(program.function_mut(func), &l)?;
-    let l = find_loops(program.function(func))
-        .into_iter()
-        .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
+    let Analyzed { norm, l, pdg, dag } = analyze(program, func, header, opts.alias)?;
     let f = program.function(func);
-    let liveness = Liveness::compute(f);
-    let pdg = build_pdg(f, &l, &liveness, &PdgOptions { alias: opts.alias });
-    let dag = DagScc::compute(&pdg.instr_graph());
     if dag.len() <= 1 {
         return Err(DswpError::SingleScc);
     }

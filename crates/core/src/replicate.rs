@@ -341,7 +341,7 @@ fn discover(af: &Function) -> Option<AuxShape> {
         let ib = af.block(b).instrs();
         for (k, &i) in ib.iter().enumerate() {
             let op = af.op(i);
-            for r in op.uses() {
+            for r in op.use_regs() {
                 first_touch.entry(r).or_insert(true);
             }
             match *op {

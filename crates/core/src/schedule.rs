@@ -104,11 +104,11 @@ fn schedule_block(
             // Register: flow (def i, use j), anti (use i, def j),
             // output (def i, def j).
             if let Some(d) = a.def() {
-                dep |= b.uses().contains(&d);
+                dep |= b.use_regs().any(|u| u == d);
                 dep |= b.def() == Some(d);
             }
             if let Some(d) = b.def() {
-                dep |= a.uses().contains(&d);
+                dep |= a.use_regs().any(|u| u == d);
             }
             // Memory / barriers.
             let bar = a.is_barrier() || b.is_barrier();

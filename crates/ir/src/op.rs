@@ -369,11 +369,6 @@ impl Op {
         }
     }
 
-    /// The registers read by this instruction, in operand order.
-    pub fn uses(&self) -> Vec<Reg> {
-        self.use_regs().collect()
-    }
-
     /// The registers read by this instruction, in operand order, without
     /// allocating (at most two).
     pub fn use_regs(&self) -> impl Iterator<Item = Reg> {
@@ -575,7 +570,7 @@ mod tests {
             rhs: Operand::Imm(3),
         };
         assert_eq!(op.def(), Some(r(0)));
-        assert_eq!(op.uses(), vec![r(1)]);
+        assert_eq!(op.use_regs().collect::<Vec<_>>(), vec![r(1)]);
 
         let st = Op::Store {
             src: Operand::Reg(r(2)),
@@ -584,7 +579,7 @@ mod tests {
             mem: MemInfo::UNKNOWN,
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![r(2), r(3)]);
+        assert_eq!(st.use_regs().collect::<Vec<_>>(), vec![r(2), r(3)]);
     }
 
     #[test]
@@ -594,7 +589,7 @@ mod tests {
             dst: r(5),
         };
         assert_eq!(c.def(), Some(r(5)));
-        assert!(c.uses().is_empty());
+        assert_eq!(c.use_regs().count(), 0);
         assert!(c.is_queue_op());
         assert!(c.is_m_type());
         assert_eq!(c.queue(), Some(QueueId(1)));
@@ -632,7 +627,7 @@ mod tests {
         };
         op.map_regs(|x| Reg(x.0 + 10));
         assert_eq!(op.def(), Some(r(10)));
-        assert_eq!(op.uses(), vec![r(11), r(12)]);
+        assert_eq!(op.use_regs().collect::<Vec<_>>(), vec![r(11), r(12)]);
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub fn verify_function(
                     ));
                 }
             }
-            for u in op.uses() {
+            for u in op.use_regs() {
                 if u.0 >= f.num_regs() {
                     return Err(err(
                         Some(fid),

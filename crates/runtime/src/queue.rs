@@ -637,25 +637,49 @@ mod tests {
         assert!(q.stats().max_occupancy <= 32);
     }
 
+    /// The retry policy of a test thread whose queue operation failed:
+    /// spin a little, then yield on every further failure, so a producer
+    /// and a consumer sharing fewer cores than threads hand the core over
+    /// instead of spinning out a whole time slice.
+    #[derive(Default)]
+    struct Backoff {
+        spins: u32,
+    }
+
+    impl Backoff {
+        const SPINS: u32 = 64;
+
+        fn wait(&mut self) {
+            if self.spins < Self::SPINS {
+                self.spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     #[test]
     fn concurrent_transfer_preserves_order_and_values() {
         const N: i64 = 100_000;
         let q = Arc::new(SpscQueue::new(8, false));
         let qp = Arc::clone(&q);
         let producer = std::thread::spawn(move || {
+            let mut backoff = Backoff::default();
             for i in 0..N {
                 while !qp.try_produce(i) {
-                    std::hint::spin_loop();
+                    backoff.wait();
                 }
             }
         });
         let mut expected = 0;
+        let mut backoff = Backoff::default();
         while expected < N {
             if let Some(v) = q.try_consume() {
                 assert_eq!(v, expected);
                 expected += 1;
             } else {
-                std::hint::spin_loop();
+                backoff.wait();
             }
         }
         producer.join().unwrap();
@@ -786,18 +810,20 @@ mod tests {
         let q = Arc::new(SpscQueue::new(4, false));
         let (qp, cp) = (Arc::clone(&q), Arc::clone(&cells));
         let producer = std::thread::spawn(move || {
+            let mut backoff = Backoff::default();
             for i in 0..N {
                 cp[i].store(3 * i as i64 + 1, Ordering::Relaxed);
                 while !qp.try_produce(i as i64) {
-                    std::hint::spin_loop();
+                    backoff.wait();
                 }
             }
         });
+        let mut backoff = Backoff::default();
         for _ in 0..N {
             let i = loop {
                 match q.try_consume() {
                     Some(i) => break i as usize,
-                    None => std::hint::spin_loop(),
+                    None => backoff.wait(),
                 }
             };
             assert_eq!(cells[i].load(Ordering::Relaxed), 3 * i as i64 + 1);
