@@ -35,6 +35,20 @@ impl Program {
         }
     }
 
+    pub(crate) fn from_parts(
+        functions: Vec<Function>,
+        initial_memory: Vec<i64>,
+        num_queues: u32,
+        thread_entries: Vec<FuncId>,
+    ) -> Self {
+        Program {
+            functions,
+            initial_memory,
+            num_queues,
+            thread_entries,
+        }
+    }
+
     /// The functions of the program, indexed by [`FuncId`].
     #[inline]
     pub fn functions(&self) -> &[Function] {
