@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the compiler passes and the simulator: PDG
 //! construction, SCC/DAG coalescing, the TPP heuristic, the full DSWP
 //! transformation, timing-model throughput, and a per-kernel table of the
-//! analysis and compile cost of every `jobs` kernel (the 10 paper kernels
-//! plus `gzip` at `Size::Test`).
+//! text, analysis and compile cost of every `jobs` kernel (the 10 paper
+//! kernels plus `gzip` at `Size::Test`).
 //!
 //! Uses a small self-contained harness (median-of-samples over
 //! `std::time::Instant`) instead of an external benchmark framework so the
@@ -17,7 +17,7 @@ use dswp_analysis::{
     build_pdg, find_loops, loop_dataflow, AliasMode, DagScc, Liveness, PdgOptions,
 };
 use dswp_ir::interp::Interpreter;
-use dswp_ir::LatencyTable;
+use dswp_ir::{parse_program, to_text, LatencyTable};
 use dswp_sim::{Machine, MachineConfig};
 use dswp_workloads::{gzip, mcf, paper_suite, Size};
 
@@ -117,8 +117,10 @@ fn bench_simulator() {
     });
 }
 
-/// Per-kernel analysis and compile cost of every `jobs` kernel: the
-/// register dataflow and the PDG of the normalized candidate loop, a whole
+/// Per-kernel text, analysis and compile cost of every `jobs` kernel:
+/// `parse_program` of the kernel's text and `to_text` of its program (the
+/// two ends of a `jobs` request and of `dswpc --emit`), the register
+/// dataflow and the PDG of the normalized candidate loop, a whole
 /// `analyze_loop` (clone, normalize, PDG, SCCs) and a whole `dswp_loop`
 /// (which declines `gzip`, a single SCC, after analyzing it).
 fn bench_kernels() {
@@ -128,10 +130,18 @@ fn bench_kernels() {
     let opts = DswpOptions::default();
     println!(
         "\nper-kernel compile path, Size::Test, median of {SAMPLES} calls (µs)\n\
-         {:<12} {:>6} {:>6} {:>13} {:>10} {:>13} {:>10}",
-        "kernel", "instrs", "arcs", "loop_dataflow", "build_pdg", "analyze_loop", "dswp_loop"
+         {:<12} {:>6} {:>6} {:>13} {:>8} {:>13} {:>10} {:>13} {:>10}",
+        "kernel",
+        "instrs",
+        "arcs",
+        "parse_program",
+        "to_text",
+        "loop_dataflow",
+        "build_pdg",
+        "analyze_loop",
+        "dswp_loop"
     );
-    let mut totals = [0.0f64; 4];
+    let mut totals = [0.0f64; 6];
     for w in &kernels {
         let main = w.program.main();
         let a = analyze_loop(&w.program, main, w.header, opts.alias).unwrap();
@@ -139,7 +149,10 @@ fn bench_kernels() {
         let liveness = Liveness::compute(f);
         let profile = Interpreter::new(&w.program).run().unwrap().profile;
         let pdg_opts = PdgOptions { alias: opts.alias };
+        let text = to_text(&w.program);
         let row = [
+            median_us(SAMPLES, || parse_program(black_box(&text))),
+            median_us(SAMPLES, || to_text(black_box(&w.program))),
             median_us(SAMPLES, || loop_dataflow(black_box(f), &a.loop_, &liveness)),
             median_us(SAMPLES, || {
                 build_pdg(black_box(f), &a.loop_, &liveness, &pdg_opts)
@@ -155,27 +168,21 @@ fn bench_kernels() {
         for (t, v) in totals.iter_mut().zip(row) {
             *t += v;
         }
-        println!(
-            "{:<12} {:>6} {:>6} {:>13.1} {:>10.1} {:>13.1} {:>10.1}",
+        print_row(
             w.name,
-            a.pdg.num_instr_nodes(),
-            a.pdg.arcs().len(),
-            row[0],
-            row[1],
-            row[2],
-            row[3]
+            &a.pdg.num_instr_nodes().to_string(),
+            &a.pdg.arcs().len().to_string(),
+            &row,
         );
     }
     let n = kernels.len() as f64;
+    print_row("mean", "", "", &totals.map(|t| t / n));
+}
+
+fn print_row(kernel: &str, instrs: &str, arcs: &str, us: &[f64; 6]) {
     println!(
-        "{:<12} {:>6} {:>6} {:>13.1} {:>10.1} {:>13.1} {:>10.1}",
-        "mean",
-        "",
-        "",
-        totals[0] / n,
-        totals[1] / n,
-        totals[2] / n,
-        totals[3] / n
+        "{kernel:<12} {instrs:>6} {arcs:>6} {:>13.1} {:>8.1} {:>13.1} {:>10.1} {:>13.1} {:>10.1}",
+        us[0], us[1], us[2], us[3], us[4], us[5]
     );
 }
 
