@@ -2,7 +2,8 @@
 //! construction, SCC/DAG coalescing, the TPP heuristic, the full DSWP
 //! transformation, timing-model throughput, and a per-kernel table of the
 //! text, analysis and compile cost of every `jobs` kernel (the 10 paper
-//! kernels plus `gzip` at `Size::Test`).
+//! kernels plus `gzip` at `Size::Test`), and a per-kernel table of the
+//! native run that ends each `jobs` request.
 //!
 //! Uses a small self-contained harness (median-of-samples over
 //! `std::time::Instant`) instead of an external benchmark framework so the
@@ -10,15 +11,16 @@
 //! `cargo bench -p dswp-bench --bench pass_costs`.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dswp::{analyze_loop, dswp_loop, scc_costs, tpp_heuristic, DswpOptions, TppOptions};
 use dswp_analysis::{
     build_pdg, find_loops, loop_dataflow, AliasMode, DagScc, Liveness, PdgOptions,
 };
 use dswp_ir::interp::Interpreter;
-use dswp_ir::{parse_program, to_text, LatencyTable};
-use dswp_sim::{Machine, MachineConfig};
+use dswp_ir::{parse_program, to_text, LatencyTable, Program};
+use dswp_rt::{RtResult, Runtime, StageStats};
+use dswp_sim::{Executor, Machine, MachineConfig};
 use dswp_workloads::{gzip, mcf, paper_suite, Size};
 
 /// Runs `f` `samples` times after a short warm-up and returns the median
@@ -186,9 +188,92 @@ fn print_row(kernel: &str, instrs: &str, arcs: &str, us: &[f64; 6]) {
     );
 }
 
+/// The median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_unstable_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Runs `program` natively `samples` times after a short warm-up and
+/// returns the median `elapsed` and the median wall and blocked time of
+/// stages 0 and 1, all in µs.
+fn native_us(samples: usize, program: &Program) -> [f64; 5] {
+    let run = || -> RtResult { Runtime::new(black_box(program)).run().unwrap() };
+    for _ in 0..10 {
+        run();
+    }
+    let runs: Vec<RtResult> = (0..samples).map(|_| run()).collect();
+    let us = |f: &dyn Fn(&RtResult) -> Duration| {
+        median(runs.iter().map(|r| f(r).as_secs_f64() * 1e6).collect())
+    };
+    let stage = |r: &RtResult, t: usize, f: fn(&StageStats) -> Duration| {
+        r.stages.get(t).map_or(Duration::ZERO, f)
+    };
+    [
+        us(&|r| r.elapsed),
+        us(&|r| stage(r, 0, |s| s.wall)),
+        us(&|r| stage(r, 0, |s| s.blocked)),
+        us(&|r| stage(r, 1, |s| s.wall)),
+        us(&|r| stage(r, 1, |s| s.blocked)),
+    ]
+}
+
+/// Per-kernel cost of the native run that ends a `jobs` request: the
+/// `Runtime::run` time of the DSWP program (the run a job makes), of the
+/// untransformed program, and the functional `Executor`'s single-threaded
+/// interleave of the DSWP program, plus the wall and blocked time of
+/// stages 0 and 1 of the DSWP run. `gzip`, which `dswp_loop` declines, has
+/// no DSWP program and no row.
+fn bench_native_jobs() {
+    const SAMPLES: usize = 1001;
+    let opts = DswpOptions::default();
+    println!(
+        "\nper-kernel native job run, Size::Test, median of {SAMPLES} runs (µs)\n\
+         {:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>10} {:>8} {:>10}",
+        "kernel",
+        "steps",
+        "dswp_run",
+        "seq_run",
+        "executor",
+        "s0_wall",
+        "s0_blocked",
+        "s1_wall",
+        "s1_blocked"
+    );
+    let mut totals = [0.0f64; 7];
+    let mut rows = 0;
+    for w in paper_suite(Size::Test) {
+        let main = w.program.main();
+        let profile = Interpreter::new(&w.program).run().unwrap().profile;
+        let mut p = w.program.clone();
+        if dswp_loop(&mut p, main, w.header, &profile, &opts).is_err() {
+            continue;
+        }
+        let steps = Runtime::new(&p).run().unwrap().total_steps();
+        let [dswp, s0w, s0b, s1w, s1b] = native_us(SAMPLES, &p);
+        let seq = native_us(SAMPLES, &w.program)[0];
+        let exec = median_us(SAMPLES, || Executor::new(black_box(&p)).run().unwrap());
+        let row = [dswp, seq, exec, s0w, s0b, s1w, s1b];
+        for (t, v) in totals.iter_mut().zip(row) {
+            *t += v;
+        }
+        rows += 1;
+        print_native_row(w.name, &steps.to_string(), &row);
+    }
+    print_native_row("mean", "", &totals.map(|t| t / f64::from(rows)));
+}
+
+fn print_native_row(kernel: &str, steps: &str, us: &[f64; 7]) {
+    println!(
+        "{kernel:<12} {steps:>6} {:>9.1} {:>9.1} {:>9.1} {:>8.1} {:>10.1} {:>8.1} {:>10.1}",
+        us[0], us[1], us[2], us[3], us[4], us[5], us[6]
+    );
+}
+
 fn main() {
     println!("pass_costs micro-benchmarks (manual harness)\n");
     bench_passes();
     bench_simulator();
     bench_kernels();
+    bench_native_jobs();
 }
