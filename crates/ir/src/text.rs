@@ -81,8 +81,15 @@ pub fn to_text(program: &Program) -> String {
         .peekable();
     if nonzero.peek().is_some() {
         out.push_str("\nmemory {\n");
-        for (a, v) in nonzero {
-            let _ = writeln!(out, "  {a}: {v}");
+        for (a, &v) in nonzero {
+            out.push_str("  ");
+            push_u64(&mut out, a as u64);
+            out.push_str(": ");
+            if v < 0 {
+                out.push('-');
+            }
+            push_u64(&mut out, v.unsigned_abs());
+            out.push('\n');
         }
         out.push_str("}\n");
     }
@@ -110,6 +117,23 @@ pub fn to_text(program: &Program) -> String {
 
 /// Writes one instruction: its `Display` form, plus the affine annotation
 /// that `Display` leaves out of loads and stores.
+/// Appends the decimal digits of `n`, as `{n}` formats it but without
+/// going through `core::fmt`: memory sections are most of a program's
+/// text.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
 fn write_op(out: &mut String, op: &Op) {
     let mem = match op {
         Op::Load {
@@ -250,7 +274,16 @@ impl<'a> Parser<'a> {
             entries.push(func_id(ln, f)?);
         }
 
-        let mut memory = vec![0i64; nmem];
+        // The size comes straight from the text: allocate it fallibly, so a
+        // size no machine can hold is a parse error and not an abort.
+        let mut memory = Vec::new();
+        if memory.try_reserve_exact(nmem).is_err() {
+            return Err(error(
+                ln,
+                format!("memory of {nmem} words cannot be allocated"),
+            ));
+        }
+        memory.resize(nmem, 0i64);
         let mut peek = self.lines;
         if peek.next().is_some_and(|(_, l)| l == "memory {") {
             self.lines = peek;
@@ -273,6 +306,7 @@ impl<'a> Parser<'a> {
     /// The entries of a `memory { .. }` section, after its opening line.
     /// No address may appear twice.
     fn memory(&mut self, memory: &mut [i64]) -> Result<(), ParseError> {
+        // As large as `memory`, which was allocated: at most an eighth of it.
         let mut seen = vec![false; memory.len()];
         loop {
             let (ln, a, v) = match self.plain_entry() {

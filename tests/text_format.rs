@@ -172,3 +172,13 @@ fn parse_errors_are_actionable() {
     assert!(err.line > 0);
     assert!(err.message.contains("bogus"), "{err}");
 }
+
+#[test]
+fn unallocatable_memory_size_is_a_parse_error() {
+    // 8 × 10^14 bytes: more than any address space holds. The header alone
+    // used to abort the process with an allocation failure.
+    let text = "program 1 threads 1 queues 0 memory 100000000000000\nthread 0 = fn0\n";
+    let err = parse_program(text).unwrap_err();
+    assert_eq!(err.line, 1, "{err}");
+    assert!(err.message.contains("100000000000000"), "{err}");
+}
