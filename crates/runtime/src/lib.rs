@@ -12,12 +12,20 @@
 //!   correctness oracle;
 //! * the cycle-level `Machine` (also `dswp-sim`) times the pipeline on
 //!   simulated in-order cores;
-//! * this [`Runtime`] runs **every pipeline stage on an OS thread of its
-//!   own at once** — stage 0 on the calling thread, the others on parked
-//!   workers of a process-wide pool, so a warm run starts no thread — and
-//!   implements the synchronization array as bounded lock-free SPSC
-//!   ring-buffer queues ([`queue::SpscQueue`]), with park/unpark
-//!   backpressure and deadlock detection.
+//! * this [`Runtime`] runs **the pipeline stages concurrently on OS
+//!   threads** and implements the synchronization array as bounded
+//!   lock-free SPSC ring-buffer queues ([`queue::SpscQueue`]), with
+//!   park/unpark backpressure and deadlock detection.
+//!
+//! Every stage is a resumable task. The calling thread runs all of its
+//! run's tasks itself, switching between them when a queue operation would
+//! block, until workers of a process-wide pool claim stages 1..: once a
+//! stage has retired a whole step budget (1024 instructions) they are
+//! offered to the pool, and a worker that starts takes its stage over at
+//! the stage's next slice boundary and runs it on a thread of its own. A
+//! short run thus never waits for a thread to wake or for values to cross
+//! cores, a long run gets a thread per stage, and a warm pool starts no
+//! thread.
 //!
 //! The synchronization-array gap the paper glosses over — its hardware
 //! `produce`/`consume` cost ~a cycle, a software queue costs at least a
@@ -51,8 +59,8 @@
 //!
 //! # Crash safety
 //!
-//! Each stage runs under `catch_unwind`, stage 0 on the caller's thread
-//! included. A panic, like every other
+//! Each stage runs under `catch_unwind`, on whichever thread runs it. A
+//! panic, like every other
 //! failure, takes the one shutdown path: record [`RtError::StagePanic`]
 //! (first error wins), set the abort flag, poison every queue, and wake
 //! every blocked stage — the run returns a structured error instead of
@@ -141,16 +149,15 @@ pub(crate) mod pool;
 pub(crate) mod worker;
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dswp_ir::exec::{Code, MULTI_CONTEXT_STEP_LIMIT};
+use dswp_ir::exec::MULTI_CONTEXT_STEP_LIMIT;
 use dswp_ir::Program;
 
-use monitor::{Monitor, Verdict};
-use worker::{run_worker, Shared, WorkerEnd, WorkerReport};
+use monitor::Verdict;
+use worker::{Shared, StageEnd};
 
 pub use fault::{silence_injected_panics, FaultPlan, InjectedPanic};
 pub use queue::{BatchHistogram, QueueStats};
@@ -446,16 +453,22 @@ pub struct StageStats {
     /// Successfully executed instructions (comparable to the functional
     /// executor's per-context step counts).
     pub steps: u64,
-    /// Wall-clock time the stage ran, from its first instruction to its
-    /// report (it excludes the hand-over to a pool worker).
+    /// The part of `steps` retired on a pool worker, after the worker
+    /// claimed the stage from the calling thread (0 for stage 0, and for a
+    /// stage the calling thread ran to its end).
+    pub pool_steps: u64,
+    /// Wall-clock time from the stage's first instruction to its end.
     pub wall: Duration,
-    /// Portion of `wall` spent blocked on queue backpressure/starvation.
+    /// Portion of `wall` spent blocked on queue backpressure/starvation:
+    /// waiting in the backoff loop, or stopped in a queue operation while
+    /// another stage ran on the calling thread.
     pub blocked: Duration,
     /// Whether the stage was parked (still blocked when the main thread
     /// terminated) rather than reaching its own halt.
     pub parked: bool,
     /// Failed queue-operation attempts that entered the spin→yield→park
-    /// backoff loop (retry accounting).
+    /// backoff loop or stopped the stage to let another run (retry
+    /// accounting).
     pub retries: u64,
     /// Times the stage exhausted its spin/yield budget and parked on the
     /// monitor condvar.
@@ -518,72 +531,20 @@ impl<'p> Runtime<'p> {
     }
 
     /// Runs the program until it completes (main halts and every other
-    /// stage halts or parks), every hardware context on a thread of its
-    /// own: contexts 1.. on workers of the process-wide stage pool, which
-    /// starts a thread only when none of its workers is idle, and context 0
-    /// (main) on the calling thread. It returns only once every stage has
-    /// reported.
+    /// stage halts or parks). The calling thread runs every hardware
+    /// context until workers of the process-wide stage pool claim contexts
+    /// 1.., which it offers them once a context has retired a whole step
+    /// budget; the pool starts a thread only when none of its workers is
+    /// idle. It returns only once every stage has reported.
     ///
     /// # Errors
     ///
     /// See [`RtError`]. The runtime never hangs: deadlock, runaway loops
     /// and livelock all surface as structured errors.
     pub fn run(&self) -> Result<RtResult, RtError> {
-        let program = self.program;
-        let num_threads = program.thread_entries().len();
-        // A fault plan may override the configured queue capacity (the
-        // "artificially tiny queues" fault class).
-        let queue_capacity = self
-            .config
-            .faults
-            .as_ref()
-            .and_then(|f| f.queue_capacity)
-            .unwrap_or(self.config.queue_capacity);
-        // Per-queue effective batch sizes, computed after the capacity
-        // override so `BatchPolicy::Auto` tracks the real queue size.
-        let base_chunk = self.config.batch.chunk(queue_capacity);
-        let batches: Vec<usize> = (0..program.num_queues as usize)
-            .map(|qi| {
-                self.config
-                    .queue_batches
-                    .as_ref()
-                    .and_then(|v| v.get(qi).copied())
-                    .unwrap_or(base_chunk)
-                    .max(1)
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            entries: program.thread_entries().to_vec(),
-            code: Code::new(program),
-            memory: program
-                .initial_memory
-                .iter()
-                .map(|&v| AtomicI64::new(v))
-                .collect(),
-            queues: (0..program.num_queues as usize)
-                .map(|_| queue::SpscQueue::new(queue_capacity, self.config.record_streams))
-                .collect(),
-            monitor: Monitor::new(num_threads).limits(&self.config),
-            batches,
-            steps_claimed: AtomicU64::new(0),
-            step_limit: self.config.step_limit,
-            faults: self.config.faults.clone(),
-        });
-
+        let shared = Arc::new(Shared::new(self.program, &self.config));
         let started = Instant::now();
-        // Stages 1.. go to the pool first, so they are live by the time
-        // stage 0, on the calling thread, needs them.
-        let (tx, rx) = mpsc::channel();
-        for t in 1..num_threads {
-            let shared = Arc::clone(&shared);
-            pool::execute(move || (t, run_stage(&shared, t)), tx.clone());
-        }
-        drop(tx);
-        let mut reports = vec![(0, run_stage(&shared, 0))];
-        reports.extend(
-            (1..num_threads).map(|_| rx.recv().expect("a pool stage ended without reporting")),
-        );
-        reports.sort_unstable_by_key(|&(t, _)| t);
+        let reports = worker::run_stages(&shared);
         let elapsed = started.elapsed();
 
         if let Some(Verdict::Fail(err)) = shared.monitor.verdict() {
@@ -600,17 +561,18 @@ impl<'p> Runtime<'p> {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            entry_regs: reports[0].1.entry_regs.clone(),
+            entry_regs: reports[0].entry_regs.clone(),
             stages: reports
                 .iter()
-                .map(|(_, r)| StageStats {
+                .map(|r| StageStats {
                     steps: r.steps,
+                    pool_steps: r.pool_steps,
                     wall: r.wall,
                     blocked: r.blocked,
-                    parked: r.end == WorkerEnd::Parked,
+                    parked: r.end == StageEnd::Parked,
                     retries: r.retries,
                     parks: r.parks,
-                    panicked: r.end == WorkerEnd::Panicked,
+                    panicked: r.end == StageEnd::Panicked,
                     flushes: r.flushes,
                     refills: r.refills,
                 })
@@ -620,31 +582,6 @@ impl<'p> Runtime<'p> {
             elapsed,
         })
     }
-}
-
-/// Runs stage `t` under crash recovery: a panic shuts the run down with
-/// the panic as its cause, and the stage reports as panicked.
-fn run_stage(shared: &Shared, t: usize) -> WorkerReport {
-    catch_unwind(AssertUnwindSafe(|| run_worker(shared, t))).unwrap_or_else(|payload| {
-        shared.monitor.shutdown(
-            RtError::StagePanic {
-                stage: t,
-                message: panic_message(&*payload),
-            },
-            &shared.queues,
-        );
-        WorkerReport {
-            end: WorkerEnd::Panicked,
-            steps: shared.monitor.stage_steps[t].load(Ordering::Relaxed),
-            entry_regs: Vec::new(),
-            wall: Duration::ZERO,
-            blocked: Duration::ZERO,
-            retries: 0,
-            parks: 0,
-            flushes: BatchHistogram::default(),
-            refills: BatchHistogram::default(),
-        }
-    })
 }
 
 /// Renders a caught panic payload as text for [`RtError::StagePanic`].

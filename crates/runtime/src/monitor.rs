@@ -48,7 +48,7 @@ pub(crate) enum BlockKind {
 }
 
 /// A blocked queue operation: the queue and the side.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct BlockInfo {
     pub queue: usize,
     pub kind: BlockKind,
@@ -74,6 +74,12 @@ impl WaitSet {
             primary: BlockInfo { queue, kind },
             flush: Vec::new(),
         }
+    }
+
+    /// Thread `t`'s wait on this set alone.
+    #[cfg(test)]
+    pub fn of(self, t: usize) -> [(usize, WaitSet); 1] {
+        [(t, self)]
     }
 }
 
@@ -141,7 +147,7 @@ pub(crate) struct Monitor {
 /// the poison in the worker's blocking loop (which converts it into a
 /// structured error) — instead of sleeping on a dead endpoint or tripping
 /// a spurious deadlock verdict.
-fn satisfiable(info: BlockInfo, queues: &[SpscQueue]) -> bool {
+pub(crate) fn satisfiable(info: BlockInfo, queues: &[SpscQueue]) -> bool {
     let q = &queues[info.queue];
     if q.is_poisoned() {
         return true;
@@ -287,14 +293,18 @@ impl Monitor {
         self.abort.load(Ordering::Relaxed)
     }
 
-    /// Blocks `thread` on `set` until anything in it becomes satisfiable or
-    /// a verdict is issued. Re-runs the liveness and quiescence checks on
-    /// every poll, so whichever thread blocks last detects deadlock within
-    /// one poll interval, and a blocked run notices cancel, its deadline or
-    /// a stall within one poll of it.
-    pub fn wait(&self, thread: usize, set: &WaitSet, queues: &[SpscQueue]) -> WaitOutcome {
+    /// Blocks the calling thread on the wait sets of the stages it holds
+    /// (`waits`: stage and set) until anything in one of them becomes
+    /// satisfiable or a verdict is issued. Re-runs the liveness and
+    /// quiescence checks on every poll, so whichever thread blocks last
+    /// detects deadlock within one poll interval — at once if it holds
+    /// every stage — and a blocked run notices cancel, its deadline or a
+    /// stall within one poll of it.
+    pub fn wait(&self, waits: &[(usize, WaitSet)], queues: &[SpscQueue]) -> WaitOutcome {
         let mut st = self.lock();
-        st.blocked[thread] = Some(set.clone());
+        for (t, set) in waits {
+            st.blocked[*t] = Some(set.clone());
+        }
         self.blocked_hint.fetch_add(1, Ordering::Relaxed);
         let outcome = loop {
             // The verdict first: a failure ends every wait, and nothing
@@ -311,8 +321,8 @@ impl Monitor {
                 continue;
             }
             // SPSC ownership: a satisfiable operation stays satisfiable
-            // until *this* thread performs it.
-            if satisfiable_set(set, queues) {
+            // until the thread that holds its stage performs it.
+            if waits.iter().any(|(_, set)| satisfiable_set(set, queues)) {
                 break WaitOutcome::Ready;
             }
             if self.settle_if_quiescent(&mut st, queues) {
@@ -324,7 +334,9 @@ impl Monitor {
                 .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         };
-        st.blocked[thread] = None;
+        for (t, _) in waits {
+            st.blocked[*t] = None;
+        }
         self.blocked_hint.fetch_sub(1, Ordering::Relaxed);
         outcome
     }
@@ -392,7 +404,7 @@ mod tests {
     fn lone_blocked_main_is_deadlock() {
         let queues = vec![SpscQueue::new(4, false)];
         let m = Monitor::new(1);
-        let out = m.wait(0, &WaitSet::solo(0, BlockKind::Consume), &queues);
+        let out = m.wait(&WaitSet::solo(0, BlockKind::Consume).of(0), &queues);
         assert!(matches!(out, WaitOutcome::Fail));
         assert!(matches!(
             m.verdict(),
@@ -406,7 +418,7 @@ mod tests {
         let m = Arc::new(Monitor::new(2));
         let (mc, qc) = (Arc::clone(&m), Arc::clone(&queues));
         let aux =
-            std::thread::spawn(move || mc.wait(1, &WaitSet::solo(0, BlockKind::Consume), &qc));
+            std::thread::spawn(move || mc.wait(&WaitSet::solo(0, BlockKind::Consume).of(1), &qc));
         std::thread::sleep(Duration::from_millis(5));
         m.terminate(0, &queues);
         assert!(matches!(aux.join().unwrap(), WaitOutcome::Park));
@@ -419,7 +431,7 @@ mod tests {
         let m = Arc::new(Monitor::new(2));
         let (mc, qc) = (Arc::clone(&m), Arc::clone(&queues));
         let consumer =
-            std::thread::spawn(move || mc.wait(1, &WaitSet::solo(0, BlockKind::Consume), &qc));
+            std::thread::spawn(move || mc.wait(&WaitSet::solo(0, BlockKind::Consume).of(1), &qc));
         std::thread::sleep(Duration::from_millis(5));
         assert!(queues[0].try_produce(9));
         m.notify_activity();
@@ -433,7 +445,7 @@ mod tests {
         let m = Arc::new(Monitor::new(2));
         let (mc, qc) = (Arc::clone(&m), Arc::clone(&queues));
         let waiter =
-            std::thread::spawn(move || mc.wait(1, &WaitSet::solo(0, BlockKind::Consume), &qc));
+            std::thread::spawn(move || mc.wait(&WaitSet::solo(0, BlockKind::Consume).of(1), &qc));
         std::thread::sleep(Duration::from_millis(5));
         m.fail(RtError::StepLimit(1));
         assert!(matches!(waiter.join().unwrap(), WaitOutcome::Fail));
@@ -453,7 +465,7 @@ mod tests {
             },
             flush: vec![0],
         };
-        let out = m.wait(0, &set, &queues);
+        let out = m.wait(&set.of(0), &queues);
         assert!(matches!(out, WaitOutcome::Ready));
         assert!(m.verdict().is_none());
     }
@@ -471,7 +483,7 @@ mod tests {
             },
             flush: vec![0],
         };
-        let out = m.wait(0, &set, &queues);
+        let out = m.wait(&set.of(0), &queues);
         assert!(matches!(out, WaitOutcome::Fail));
         assert!(matches!(
             m.verdict(),

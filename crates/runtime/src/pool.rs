@@ -1,13 +1,19 @@
 //! The process-wide pool of stage workers.
 //!
-//! [`Runtime::run`](crate::Runtime::run) runs stage 0 on the calling thread
-//! and hands every other stage to this pool rather than spawning an OS
-//! thread per stage and run. A handed-over stage goes to an idle worker if
-//! there is one, and to a newly started worker otherwise: the stages of a
-//! run block on each other through their queues, so every one of them must
-//! be live at once, and the pool never makes a stage wait for a busy worker
-//! and never caps its size. It therefore holds at most the peak number of
-//! stages that were ever running at the same time.
+//! [`Runtime::run`](crate::Runtime::run) runs every stage on the calling
+//! thread until it offers stages 1.. to this pool rather than spawning an
+//! OS thread per stage and run. An offer goes to an idle worker if there is
+//! one, and to a newly started worker otherwise: once handed over, the
+//! stages of a run block on each other through their queues, so every one
+//! of them must be live at once, and the pool never makes a stage wait for
+//! a busy worker and never caps its size. It therefore holds at most the
+//! peak number of stages that were ever offered at the same time.
+//!
+//! An offer the worker has not started yet can be [withdrawn](Ticket):
+//! the caller takes the job back from the worker's slot and puts the worker
+//! back on the idle list itself, so a run that ends before its worker wakes
+//! waits for nothing. A worker that started reports as usual, and the
+//! caller waits for it.
 //!
 //! An idle worker blocks on its own condition variable — no spinning, no
 //! yielding and no idle timeout — so a parked pool costs the machine
@@ -40,12 +46,32 @@ struct Worker {
 static IDLE: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
 
 /// Locks `m`, tolerating poisoning: no job runs while a pool lock is held,
-/// so a panic can never leave the guarded state half-updated.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// so a panic can never leave the guarded state half-updated. The stage
+/// offers use it for the same reason: every update of theirs is one store.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs `work` on a pool worker and sends its result to `report`.
+/// A job handed to a worker, which [`withdraw`](Ticket::withdraw) takes
+/// back unless the worker already started it.
+pub(crate) struct Ticket(Arc<Worker>);
+
+impl Ticket {
+    /// Takes the job back if its worker has not started it, and puts that
+    /// worker back on the idle list; the job then never runs and never
+    /// reports. Returns whether it did: `false` means the job runs, or ran,
+    /// and its result is sent as usual.
+    pub(crate) fn withdraw(self) -> bool {
+        let taken = lock(&self.0.job).take().is_some();
+        if taken {
+            lock(&IDLE).push(self.0);
+        }
+        taken
+    }
+}
+
+/// Runs `work` on a pool worker and sends its result to `report`, unless
+/// the returned ticket withdraws it first.
 ///
 /// The job starts at once, on an idle worker or on a new one. The worker
 /// drops `work` and everything it captured before it goes idle, and sends
@@ -57,7 +83,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub(crate) fn execute<R: Send + 'static>(
     work: impl FnOnce() -> R + Send + 'static,
     report: Sender<R>,
-) {
+) -> Ticket {
     let job: Job = Box::new(move || {
         let result = work();
         Box::new(move || {
@@ -70,16 +96,19 @@ pub(crate) fn execute<R: Send + 'static>(
         Some(worker) => {
             *lock(&worker.job) = Some(job);
             worker.ready.notify_one();
+            Ticket(worker)
         }
         None => {
             let worker = Arc::new(Worker {
                 job: Mutex::new(Some(job)),
                 ready: Condvar::new(),
             });
+            let serving = Arc::clone(&worker);
             thread::Builder::new()
                 .name("dswp-stage".into())
-                .spawn(move || worker.serve())
+                .spawn(move || serving.serve())
                 .expect("the OS refused a stage worker thread");
+            Ticket(worker)
         }
     }
 }

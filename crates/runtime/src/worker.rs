@@ -1,20 +1,44 @@
-//! The per-stage worker: one thread interpreting one hardware context.
+//! Pipeline stages as resumable tasks, and the loops that run them.
 //!
-//! Each DSWP pipeline stage runs this loop on a thread of its own — stage 0
-//! on the thread that called `Runtime::run`, the others on workers of the
-//! stage pool — over the [`Code`] that `Runtime::run` lowered once before
-//! handing the stages out. Every
+//! Each DSWP pipeline stage is a [`StageTask`]: its call stack, its
+//! communication buffers, its fault session, and its backoff counters and
+//! timers — everything it needs to continue on any thread. Every
 //! instruction executes through `Code::run`, the executor the other three
-//! engines share; the worker supplies only shared memory, the batched
-//! queues, the step budget and the fault hooks (its `Stage` engine), so the
-//! native runtime cannot drift from the interpreter, the functional
-//! executor or the timing model on anything but scheduling.
+//! engines share, over the [`Code`] that `Runtime::run` lowered once; the
+//! task supplies only shared memory, the batched queues, the step budget
+//! and the fault hooks (its `Stage` engine), so the native runtime cannot
+//! drift from the interpreter, the functional executor or the timing
+//! model on anything but scheduling. `Code::run` returns with the stack
+//! intact when a queue operation stops, so a stopped task resumes by
+//! re-executing that instruction.
 //!
-//! There is one loop for every stage. Without a fault plan it hands the
+//! # Work-first scheduling
+//!
+//! The thread that calls `Runtime::run` starts out holding every task of
+//! its run and runs them round-robin itself ([`run_stages`]), switching
+//! when a queue operation stops and at every `STEP_BATCH` budget refill:
+//! the functional executor's interleave, over the real queues. Once one of
+//! its tasks has spent a whole budget, stages 1.. are offered to the stage
+//! pool. A worker that starts for an [`Offer`] asks for its task, and the
+//! calling thread hands the task over at its next slice boundary, through
+//! the offer's mutex; the worker then runs it to its end, alone. When the
+//! run ends, the calling thread withdraws every offer no worker took and
+//! waits only for the workers that started. A short run — a service job of
+//! a few thousand instructions — thus pays for no wake-up and moves no
+//! value between cores, and a long one moves its stages to workers within
+//! a few budgets of instructions.
+//!
+//! The stage engine is the same on every thread. After the failed first
+//! attempt of a queue operation it stops the task only when its thread
+//! holds another task that is ready; otherwise — always on a worker, which
+//! holds one task — it enters the spin→yield→park wait, so a thread that
+//! holds one task behaves exactly as a thread per stage. A stopped
+//! operation keeps its stall budget (fault injection) and the part of a
+//! flush it already published, so it counts once when it resumes and the
+//! fault cadence stays exact. Without a fault plan a slice hands the
 //! executor a whole claimed budget (up to `STEP_BATCH` instructions) per
-//! call. With a plan, it calls the same executor one instruction at a time
-//! and runs the per-instruction fault hook before each, so the fault
-//! cadence is exact.
+//! call; with a plan it calls the same executor one instruction at a time
+//! and runs the per-instruction fault hook before each.
 //!
 //! Shared program memory is a `Vec<AtomicI64>` accessed with relaxed
 //! loads/stores; cross-stage ordering comes from the queues' release/acquire
@@ -24,8 +48,9 @@
 //!
 //! An unbatched `produce`/`consume` (batch size 1) goes straight to the
 //! ring: one `try_produce`/`try_consume`, and only when that attempt fails
-//! does the operation enter the spin→yield→park loop. A produce that found
-//! its queue full first [slips](slip) until half the queue is free.
+//! does the operation stop or enter the spin→yield→park loop. A produce
+//! that found its queue full first [slips](slip) until half the queue is
+//! free.
 //!
 //! # Batched communication
 //!
@@ -43,7 +68,7 @@
 //! * **Flush on stage end.** A terminating stage performs a blocking flush
 //!   of every residual buffer before it reports termination.
 //! * **Flush on cadence.** Every `STEP_BATCH` retired instructions (the
-//!   budget-refill boundary) the worker opportunistically flushes lingering
+//!   budget-refill boundary) the stage opportunistically flushes lingering
 //!   buffers, so a stage that stops producing but keeps computing cannot
 //!   starve its consumers behind a half-filled chunk.
 //! * **Refills never wait for a full chunk.** A refill takes whatever is
@@ -54,7 +79,7 @@
 //! produce is a flush and every consume is a refill, so the unbatched
 //! fault cadence is preserved exactly.
 //!
-//! When the runtime carries a [`FaultPlan`], each worker additionally
+//! When the runtime carries a [`FaultPlan`], each task additionally
 //! drives a [`FaultSession`]: periodic busy-spin delays, artificial
 //! queue-operation stalls, queue poisoning, and forced panics at an exact
 //! retired-instruction count. Benign faults perturb timing only — the
@@ -62,20 +87,24 @@
 //! bit-identical; lethal faults are converted by the recovery layer in
 //! `lib.rs` into structured [`RtError`]s.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dswp_ir::exec::{Code, Engine, Exit, Fault, Frame};
-use dswp_ir::{FuncId, QueueId};
+use dswp_ir::{FuncId, Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
-use crate::monitor::{BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
+use crate::monitor::{satisfiable, BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
+use crate::pool::{self, lock};
 use crate::queue::{BatchHistogram, SpscQueue};
-use crate::RtError;
+use crate::{panic_message, RtConfig, RtError};
 
 /// Steps claimed from the shared budget at a time; also the cadence of
-/// abort, cancel and deadline checks, progress heartbeats, and
-/// opportunistic flushes of lingering output buffers.
+/// abort, cancel and deadline checks, progress heartbeats, opportunistic
+/// flushes of lingering output buffers, and the calling thread's
+/// round-robin over its tasks.
 const STEP_BATCH: u64 = 1024;
 /// Busy-spin iterations on a blocked queue before yielding.
 const SPINS: u32 = 64;
@@ -103,11 +132,60 @@ pub(crate) struct Shared {
     pub step_limit: u64,
     /// Fault-injection plan, if any.
     pub faults: Option<FaultPlan>,
+    /// Per-stage offers to the pool, indexed by hardware context (stage 0
+    /// is never offered).
+    pub offers: Vec<Offer>,
 }
 
-/// How a worker's loop ended.
+impl Shared {
+    /// Everything a run of `program` under `config` shares, before any
+    /// stage ran.
+    pub(crate) fn new(program: &Program, config: &RtConfig) -> Self {
+        let num_threads = program.thread_entries().len();
+        // A fault plan may override the configured queue capacity (the
+        // "artificially tiny queues" fault class).
+        let queue_capacity = config
+            .faults
+            .as_ref()
+            .and_then(|f| f.queue_capacity)
+            .unwrap_or(config.queue_capacity);
+        // Per-queue effective batch sizes, computed after the capacity
+        // override so `BatchPolicy::Auto` tracks the real queue size.
+        let base_chunk = config.batch.chunk(queue_capacity);
+        let batches = (0..program.num_queues as usize)
+            .map(|qi| {
+                config
+                    .queue_batches
+                    .as_ref()
+                    .and_then(|v| v.get(qi).copied())
+                    .unwrap_or(base_chunk)
+                    .max(1)
+            })
+            .collect();
+        Shared {
+            entries: program.thread_entries().to_vec(),
+            code: Code::new(program),
+            memory: program
+                .initial_memory
+                .iter()
+                .map(|&v| AtomicI64::new(v))
+                .collect(),
+            queues: (0..program.num_queues as usize)
+                .map(|_| SpscQueue::new(queue_capacity, config.record_streams))
+                .collect(),
+            monitor: Monitor::new(num_threads).limits(config),
+            batches,
+            steps_claimed: AtomicU64::new(0),
+            step_limit: config.step_limit,
+            faults: config.faults.clone(),
+            offers: (0..num_threads).map(|_| Offer::default()).collect(),
+        }
+    }
+}
+
+/// How a stage ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum WorkerEnd {
+pub(crate) enum StageEnd {
     /// Reached `halt` or the terminate sentinel — normal completion.
     Terminated,
     /// Stopped by a Park verdict while blocked (run completed without it).
@@ -121,19 +199,23 @@ pub(crate) enum WorkerEnd {
 /// Per-stage outcome and statistics, reported to `Runtime::run` when the
 /// stage ends.
 #[derive(Clone, Debug)]
-pub(crate) struct WorkerReport {
-    pub end: WorkerEnd,
+pub(crate) struct StageReport {
+    pub end: StageEnd,
     /// Successfully executed instructions (matches the functional
     /// executor's per-context step counts exactly).
     pub steps: u64,
+    /// Instructions retired on a pool worker after it claimed the stage.
+    pub pool_steps: u64,
     /// Entry-frame registers at the end of the run.
     pub entry_regs: Vec<i64>,
-    /// Wall-clock time this stage ran.
+    /// Wall-clock time from the stage's first instruction to its end.
     pub wall: Duration,
-    /// Portion of `wall` spent blocked on queues (spin + park).
+    /// Portion of `wall` spent blocked on queues: waiting in the backoff
+    /// loop, or stopped while another task of its thread ran.
     pub blocked: Duration,
     /// Failed queue-operation attempts that entered the spin→yield→park
-    /// backoff (each retry is one loop turn of a blocked operation).
+    /// backoff or stopped the stage (each retry is one failed attempt of a
+    /// blocked operation).
     pub retries: u64,
     /// Times the stage gave up spinning and parked on the monitor.
     pub parks: u64,
@@ -150,7 +232,10 @@ enum QueueStop {
     /// can never complete meaningfully.
     Poisoned(usize),
     /// The run ended while this stage waited.
-    End(WorkerEnd),
+    End(StageEnd),
+    /// The operation stopped so that another task of this thread, which
+    /// is ready, can run; the task resumes it later (see [`Resume`]).
+    WouldBlock,
 }
 
 /// Per-queue consumer-side local buffer: values acquired in one refill,
@@ -169,9 +254,10 @@ impl InBuf {
     }
 }
 
-/// A worker's communication state: per-queue output buffers awaiting a
+/// A stage's communication state: per-queue output buffers awaiting a
 /// flush, per-queue input buffers being served, and the per-stage batch
 /// histograms.
+#[derive(Debug)]
 struct Comm {
     out: Vec<Vec<i64>>,
     inq: Vec<InBuf>,
@@ -188,10 +274,21 @@ impl Comm {
             refills: BatchHistogram::default(),
         }
     }
+
+    /// Queues this stage holds a non-empty output buffer for.
+    fn pending(&self) -> Vec<usize> {
+        self.out
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_empty())
+            .map(|(qi, _)| qi)
+            .collect()
+    }
 }
 
-/// The per-worker fault-injection state: counters that decide when the
+/// The per-stage fault-injection state: counters that decide when the
 /// stage's [`StageFaults`] fire.
+#[derive(Debug)]
 struct FaultSession {
     faults: StageFaults,
     /// Flush/refill operations performed so far (drives stall cadence;
@@ -220,7 +317,7 @@ impl FaultSession {
     ///
     /// Deliberately panics with an [`InjectedPanic`] payload when the plan
     /// says this stage must crash at this retired-instruction count; the
-    /// recovery layer in `Runtime::run` catches it.
+    /// recovery layer in [`slice`] catches it.
     fn on_step(&mut self, stage: usize, steps: u64, queues: &[SpscQueue]) {
         if let Some(d) = self.faults.delay {
             if steps.is_multiple_of(d.every) {
@@ -264,6 +361,7 @@ impl FaultSession {
 /// Attempts of one queue operation that must still fail artificially
 /// (fault injection; `u32::MAX` stalls the operation forever — the
 /// monitor's watchdog, deadline or cancel check then ends the run).
+#[derive(Debug)]
 struct Stall(u32);
 
 impl Stall {
@@ -278,14 +376,265 @@ impl Stall {
             }
         }
     }
+
+    /// Whether the operation can never complete.
+    fn permanent(&self) -> bool {
+        self.0 == u32::MAX
+    }
 }
 
-/// Tracks the retry/park accounting of one worker across its blocked
+/// Tracks the retry/park accounting of one stage across its blocked
 /// queue operations.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Backoff {
     retries: u64,
     parks: u64,
+}
+
+/// A queue operation that stopped to let another task of its thread run,
+/// kept so the re-executed instruction continues it rather than starting a
+/// new one: the stall budget is spent once per logical operation, so the
+/// fault cadence stays exact, and a partly published flush continues where
+/// it stopped.
+#[derive(Debug)]
+struct Resume {
+    info: BlockInfo,
+    /// Forced failures the operation still owes.
+    stall: Stall,
+    /// Values of the flush that were published before it stopped.
+    flushed: usize,
+}
+
+/// What the stage engine works on: the stage's communication, fault and
+/// backoff state. Everything here moves with the task.
+#[derive(Debug)]
+struct StageIo {
+    thread: usize,
+    comm: Comm,
+    faults: FaultSession,
+    /// The queue operation the task stopped in, if it stopped in one.
+    resume: Option<Resume>,
+    /// Time spent blocked on queues.
+    blocked: Duration,
+    backoff: Backoff,
+}
+
+/// One pipeline stage as a resumable task: its call stack, communication
+/// buffers, fault session, backoff counters and timers — everything it
+/// needs to continue on any thread. `Code::run` returns with the stack
+/// intact when a queue operation stops, so a stopped task resumes by
+/// re-executing that instruction.
+#[derive(Debug)]
+pub(crate) struct StageTask {
+    stack: Vec<Frame>,
+    io: StageIo,
+    steps: u64,
+    /// Steps left of the last budget claim.
+    budget: u64,
+    /// Reached `halt`: only the stage-end flush is left.
+    halted: bool,
+    /// `steps` when a pool worker claimed the task.
+    claimed_at: Option<u64>,
+    /// When the task first ran.
+    started: Option<Instant>,
+    /// When the task last stopped in a queue operation.
+    stopped: Option<Instant>,
+}
+
+impl StageTask {
+    fn new(shared: &Shared, thread: usize) -> Self {
+        StageTask {
+            stack: vec![shared.code.frame(shared.entries[thread])],
+            io: StageIo {
+                thread,
+                comm: Comm::new(shared.queues.len()),
+                faults: FaultSession::new(shared.faults.as_ref(), thread),
+                resume: None,
+                blocked: Duration::ZERO,
+                backoff: Backoff::default(),
+            },
+            steps: 0,
+            budget: 0,
+            halted: false,
+            claimed_at: None,
+            started: None,
+            stopped: None,
+        }
+    }
+
+    /// Whether running the task could make progress now: it did not stop
+    /// in a queue operation, or that operation — or a flush it owes —
+    /// could complete. An operation stalled for good never can.
+    fn ready(&self, queues: &[SpscQueue]) -> bool {
+        let Some(r) = &self.io.resume else {
+            return true;
+        };
+        !r.stall.permanent()
+            && (satisfiable(r.info, queues)
+                || self.io.comm.out.iter().enumerate().any(|(queue, b)| {
+                    !b.is_empty()
+                        && satisfiable(
+                            BlockInfo {
+                                queue,
+                                kind: BlockKind::Produce,
+                            },
+                            queues,
+                        )
+                }))
+    }
+
+    /// Accounts for the time up to `now`, when the task runs again.
+    fn run_at(&mut self, now: Instant) {
+        self.started.get_or_insert(now);
+        if let Some(at) = self.stopped.take() {
+            self.io.blocked += now.saturating_duration_since(at);
+        }
+    }
+
+    /// Ends the task: publishes its final step count and reports.
+    fn end(mut self, shared: &Shared, end: StageEnd) -> StageReport {
+        let now = Instant::now();
+        self.run_at(now);
+        let t = self.io.thread;
+        shared.monitor.stage_steps[t].store(self.steps, Ordering::Relaxed);
+        shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
+        StageReport {
+            end,
+            steps: self.steps,
+            pool_steps: self.claimed_at.map_or(0, |at| self.steps - at),
+            entry_regs: if end == StageEnd::Panicked {
+                Vec::new()
+            } else {
+                shared.code.entry_regs(&self.stack)
+            },
+            wall: self.started.map_or(Duration::ZERO, |s| now - s),
+            blocked: self.io.blocked,
+            retries: self.io.backoff.retries,
+            parks: self.io.backoff.parks,
+            flushes: self.io.comm.flushes,
+            refills: self.io.comm.refills,
+        }
+    }
+}
+
+/// The other unfinished tasks held by the thread that runs a task.
+#[derive(Clone, Copy)]
+struct Peers<'a> {
+    before: &'a [StageTask],
+    after: &'a [StageTask],
+    /// Whether the thread holds every unfinished task of the run, so no
+    /// other thread can change any queue.
+    alone: bool,
+}
+
+impl<'a> Peers<'a> {
+    /// A task running on a thread of its own (a pool worker's claim).
+    const NONE: Peers<'static> = Peers {
+        before: &[],
+        after: &[],
+        alone: false,
+    };
+
+    fn iter(self) -> impl Iterator<Item = &'a StageTask> {
+        self.before.iter().chain(self.after)
+    }
+
+    fn is_empty(self) -> bool {
+        self.before.is_empty() && self.after.is_empty()
+    }
+
+    fn any_ready(self, queues: &[SpscQueue]) -> bool {
+        self.iter().any(|t| t.ready(queues))
+    }
+}
+
+/// Stage `t`'s offer to the pool. The calling thread runs the task until a
+/// pool worker that started for it asks for it, and hands it over at the
+/// task's next slice boundary; from then on the worker runs it to its end.
+#[derive(Debug, Default)]
+pub(crate) struct Offer {
+    /// Raised by a pool worker that waits for the task; the calling thread
+    /// reads it at every slice boundary. The task itself moves through
+    /// `slot`'s mutex, whose unlock and lock order the two threads' work on
+    /// it.
+    wanted: AtomicBool,
+    slot: Mutex<Slot>,
+    /// Wakes the waiting worker when `slot` changes.
+    changed: Condvar,
+}
+
+/// Where an offered task is.
+#[derive(Debug, Default)]
+enum Slot {
+    /// The calling thread holds it.
+    #[default]
+    Caller,
+    /// Handed over; the waiting worker takes it.
+    Handed(Box<StageTask>),
+    /// A pool worker runs it.
+    Claimed,
+    /// The calling thread ran it to its end, or the run ended.
+    Withdrawn,
+}
+
+impl Offer {
+    /// A pool worker's claim: waits until the calling thread hands the task
+    /// over, or returns `None` once the offer is withdrawn. It waits as a
+    /// blocked queue operation does — spinning, then yielding, then parked
+    /// — so a claim that comes soon, and the end of a short run, cost no
+    /// wake-up.
+    fn claim(&self) -> Option<Box<StageTask>> {
+        self.wanted.store(true, Ordering::Relaxed);
+        let mut tries: u32 = 0;
+        let mut slot = lock(&self.slot);
+        loop {
+            match std::mem::replace(&mut *slot, Slot::Claimed) {
+                Slot::Handed(task) => return Some(task),
+                Slot::Caller => *slot = Slot::Caller,
+                // One worker per offer, so never `Claimed`.
+                other => {
+                    *slot = other;
+                    return None;
+                }
+            }
+            tries += 1;
+            if tries <= SPINS + YIELDS {
+                drop(slot);
+                if tries <= SPINS {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                slot = lock(&self.slot);
+            } else {
+                slot = self
+                    .changed
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
+    /// Hands `task` to the worker that asked for it.
+    fn hand(&self, task: StageTask) {
+        *lock(&self.slot) = Slot::Handed(Box::new(task));
+        self.changed.notify_one();
+    }
+
+    /// Withdraws the offer unless the task was handed over, and says
+    /// whether it was.
+    fn withdraw(&self) -> bool {
+        let mut slot = lock(&self.slot);
+        match *slot {
+            Slot::Caller => {
+                *slot = Slot::Withdrawn;
+                self.changed.notify_one();
+                false
+            }
+            Slot::Withdrawn => false,
+            Slot::Handed(_) | Slot::Claimed => true,
+        }
+    }
 }
 
 /// Opportunistically flushes every non-empty output buffer as far as the
@@ -355,31 +704,32 @@ fn slip(queue: &SpscQueue) {
 /// attempts to fail first (fault injection). A blocked produce first
 /// [slips](slip).
 ///
-/// While waiting, the worker side-flushes its other pending output
-/// buffers (`out`) and registers them in its monitor [`WaitSet`], so
-/// buffered values cannot deadlock the pipeline and a pending flush to a
-/// poisoned queue is converted into a structured error instead of a hang.
+/// While waiting, the stage side-flushes its other pending output
+/// buffers and registers them in its monitor [`WaitSet`], so buffered
+/// values cannot deadlock the pipeline and a pending flush to a poisoned
+/// queue is converted into a structured error instead of a hang.
+///
+/// A thread that holds other tasks (`peers`) stops waiting as soon as one
+/// of them is ready ([`QueueStop::WouldBlock`]), and parks on all of their
+/// wait sets at once. A thread that holds every unfinished task of the run
+/// parks at once: nothing it could spin for can happen, so the monitor
+/// reaches its verdict without delay.
 #[cold]
-#[allow(clippy::too_many_arguments)]
 fn comm_wait(
     shared: &Shared,
-    thread: usize,
+    io: &mut StageIo,
     info: BlockInfo,
-    out: &mut [Vec<i64>],
-    blocked_time: &mut Duration,
-    backoff: &mut Backoff,
-    mut stall: Stall,
+    stall: &mut Stall,
+    peers: Peers<'_>,
     mut attempt: impl FnMut() -> Option<i64>,
 ) -> Result<i64, QueueStop> {
     let queue = &shared.queues[info.queue];
-    match info.kind {
-        BlockKind::Produce => queue.count_producer_block(),
-        BlockKind::Consume => queue.count_consumer_block(),
-    };
     let began = Instant::now();
     if info.kind == BlockKind::Produce {
-        side_flush(shared, out);
-        slip(queue);
+        side_flush(shared, &mut io.comm.out);
+        if !peers.alone {
+            slip(queue);
+        }
     }
     let mut tries: u32 = 0;
     let outcome =
@@ -389,7 +739,7 @@ fn comm_wait(
             }
             // A pending flush to a poisoned queue can never be delivered —
             // fail now rather than spin on a satisfiable-but-unflushable set.
-            if let Some(qi) = out.iter().enumerate().find_map(|(qi, b)| {
+            if let Some(qi) = io.comm.out.iter().enumerate().find_map(|(qi, b)| {
                 (!b.is_empty() && shared.queues[qi].is_poisoned()).then_some(qi)
             }) {
                 break Err(QueueStop::Poisoned(qi));
@@ -401,56 +751,64 @@ fn comm_wait(
                 }
             }
             if shared.monitor.abort.load(Ordering::Relaxed) {
-                break Err(QueueStop::End(WorkerEnd::Aborted));
+                break Err(QueueStop::End(StageEnd::Aborted));
             }
-            side_flush(shared, out);
-            backoff.retries += 1;
+            side_flush(shared, &mut io.comm.out);
+            io.backoff.retries += 1;
+            if peers.any_ready(&shared.queues) {
+                break Err(QueueStop::WouldBlock);
+            }
             tries += 1;
-            if tries <= SPINS {
+            if tries <= SPINS && !peers.alone {
                 std::hint::spin_loop();
-            } else if tries <= SPINS + YIELDS {
+            } else if tries <= SPINS + YIELDS && !peers.alone {
                 std::thread::yield_now();
             } else {
                 tries = 0;
-                backoff.parks += 1;
-                let set = WaitSet {
+                io.backoff.parks += 1;
+                let own = WaitSet {
                     primary: info,
-                    flush: out
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, b)| !b.is_empty())
-                        .map(|(qi, _)| qi)
-                        .collect(),
+                    flush: io.comm.pending(),
                 };
-                match shared.monitor.wait(thread, &set, &shared.queues) {
+                let waits: Vec<(usize, WaitSet)> = std::iter::once((io.thread, own))
+                    .chain(peers.iter().filter_map(|t| {
+                        let r = t.io.resume.as_ref()?;
+                        let set = WaitSet {
+                            primary: r.info,
+                            flush: t.io.comm.pending(),
+                        };
+                        Some((t.io.thread, set))
+                    }))
+                    .collect();
+                match shared.monitor.wait(&waits, &shared.queues) {
                     WaitOutcome::Ready => {}
-                    WaitOutcome::Park => break Err(QueueStop::End(WorkerEnd::Parked)),
-                    WaitOutcome::Fail => break Err(QueueStop::End(WorkerEnd::Aborted)),
+                    WaitOutcome::Park => break Err(QueueStop::End(StageEnd::Parked)),
+                    WaitOutcome::Fail => break Err(QueueStop::End(StageEnd::Aborted)),
                 }
             }
         };
     shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
-    *blocked_time += began.elapsed();
+    io.blocked += began.elapsed();
     outcome
 }
 
-/// A stage thread's [`Engine`]: shared memory, the batched queues, and the
+/// A stage's [`Engine`]: shared memory, the batched queues, and the
 /// bookkeeping of its blocked waits.
-struct Stage<'s> {
-    shared: &'s Shared,
-    thread: usize,
-    comm: Comm,
-    faults: FaultSession,
-    /// Time spent blocked on queues (spin + park).
-    blocked: Duration,
-    backoff: Backoff,
+struct Stage<'a> {
+    shared: &'a Shared,
+    io: &'a mut StageIo,
+    /// The other tasks of the running thread.
+    peers: Peers<'a>,
 }
 
 impl Stage<'_> {
     /// One blocking queue operation on `info.queue`: the first attempt runs
-    /// here, with nothing set up for waiting, and only a failed attempt
-    /// enters [`comm_wait`]. `attempt` is as there. The fault plan's stall
-    /// cadence counts one operation per call, whichever way it completes.
+    /// here, with nothing set up for waiting. After a failed attempt the
+    /// operation stops ([`QueueStop::WouldBlock`]) if another task of this
+    /// thread is ready, and enters [`comm_wait`] otherwise — so a thread
+    /// with one task waits exactly as a thread per stage would. `attempt`
+    /// is as there. The fault plan's stall cadence counts one operation per
+    /// logical operation, however often it stops and resumes.
     #[inline]
     fn op(
         &mut self,
@@ -458,8 +816,17 @@ impl Stage<'_> {
         mut attempt: impl FnMut() -> Option<i64>,
     ) -> Result<i64, QueueStop> {
         let shared = self.shared;
-        let mut stall = self.faults.stall_budget();
-        if dead_end(&shared.queues[info.queue], info.kind) {
+        let resumed = self.io.resume.take();
+        let fresh = resumed.is_none();
+        let mut stall = match resumed {
+            Some(r) => {
+                debug_assert_eq!(r.info, info, "a task resumes the operation it stopped in");
+                r.stall
+            }
+            None => self.io.faults.stall_budget(),
+        };
+        let queue = &shared.queues[info.queue];
+        if dead_end(queue, info.kind) {
             return Err(QueueStop::Poisoned(info.queue));
         }
         if !stall.fails() {
@@ -468,24 +835,40 @@ impl Stage<'_> {
                 return Ok(v);
             }
         }
-        comm_wait(
-            shared,
-            self.thread,
-            info,
-            &mut self.comm.out,
-            &mut self.blocked,
-            &mut self.backoff,
-            stall,
-            attempt,
-        )
+        if fresh {
+            match info.kind {
+                BlockKind::Produce => queue.count_producer_block(),
+                BlockKind::Consume => queue.count_consumer_block(),
+            }
+        }
+        if !self.peers.is_empty() {
+            // Stop only after flushing what the peers may be waiting for.
+            side_flush(shared, &mut self.io.comm.out);
+        }
+        let res = if self.peers.any_ready(&shared.queues) {
+            self.io.backoff.retries += 1;
+            Err(QueueStop::WouldBlock)
+        } else {
+            comm_wait(shared, self.io, info, &mut stall, self.peers, attempt)
+        };
+        if let Err(QueueStop::WouldBlock) = res {
+            self.io.resume = Some(Resume {
+                info,
+                stall,
+                flushed: 0,
+            });
+        }
+        res
     }
 
     /// Blocking flush of output buffer `qi`: publishes every buffered value
     /// (possibly across several partial `push_batch`es while the consumer
-    /// drains) before returning.
+    /// drains) before returning. A flush that stops keeps what it has not
+    /// published in the buffer and continues when the task resumes.
     fn flush(&mut self, qi: usize) -> Result<(), QueueStop> {
         let shared = self.shared;
-        let mut buf = std::mem::take(&mut self.comm.out[qi]);
+        let base = self.io.resume.as_ref().map_or(0, |r| r.flushed);
+        let mut buf = std::mem::take(&mut self.io.comm.out[qi]);
         let q = &shared.queues[qi];
         let info = BlockInfo {
             queue: qi,
@@ -505,11 +888,20 @@ impl Stage<'_> {
             }
             None
         });
-        if res.is_ok() {
-            self.comm.flushes.add(buf.len());
+        match &res {
+            Ok(_) => {
+                self.io.comm.flushes.add(base + buf.len());
+                buf.clear();
+            }
+            Err(QueueStop::WouldBlock) => {
+                buf.drain(..pos);
+                if let Some(r) = &mut self.io.resume {
+                    r.flushed = base + pos;
+                }
+            }
+            Err(_) => buf.clear(),
         }
-        buf.clear();
-        self.comm.out[qi] = buf; // keep the allocation
+        self.io.comm.out[qi] = buf; // keep the allocation
         res.map(drop)
     }
 
@@ -518,7 +910,7 @@ impl Stage<'_> {
     /// returns the first value; the rest are served from the local buffer.
     fn refill(&mut self, qi: usize) -> Result<i64, QueueStop> {
         let shared = self.shared;
-        let mut buf = std::mem::take(&mut self.comm.inq[qi]);
+        let mut buf = std::mem::take(&mut self.io.comm.inq[qi]);
         buf.vals.clear();
         buf.next = 0;
         let q = &shared.queues[qi];
@@ -531,9 +923,9 @@ impl Stage<'_> {
         let res = self.op(info, || (q.pop_batch(vals, max) > 0).then(|| vals[0]));
         if res.is_ok() {
             buf.next = 1;
-            self.comm.refills.add(buf.vals.len());
+            self.io.comm.refills.add(buf.vals.len());
         }
-        self.comm.inq[qi] = buf; // keep the allocation
+        self.io.comm.inq[qi] = buf; // keep the allocation
         res
     }
 }
@@ -568,18 +960,23 @@ impl Engine for Stage<'_> {
         if batch == 1 {
             // Unbatched: straight to the ring. Every unbatched produce
             // completes before the next, so nothing is buffered here.
-            debug_assert!(self.comm.out[qi].is_empty());
+            debug_assert!(self.io.comm.out[qi].is_empty());
             let q = &shared.queues[qi];
             let info = BlockInfo {
                 queue: qi,
                 kind: BlockKind::Produce,
             };
             self.op(info, || q.try_produce(value).then_some(0))?;
-            self.comm.flushes.add(1);
+            self.io.comm.flushes.add(1);
             return Ok(());
         }
-        self.comm.out[qi].push(value);
-        if self.comm.out[qi].len() >= batch {
+        // A resumed produce already buffered its value: only its flush is
+        // left.
+        if self.io.resume.is_some() {
+            return self.flush(qi);
+        }
+        self.io.comm.out[qi].push(value);
+        if self.io.comm.out[qi].len() >= batch {
             self.flush(qi)?;
         }
         Ok(())
@@ -597,10 +994,10 @@ impl Engine for Stage<'_> {
                 kind: BlockKind::Consume,
             };
             let v = self.op(info, || q.try_consume())?;
-            self.comm.refills.add(1);
+            self.io.comm.refills.add(1);
             return Ok(v);
         }
-        match self.comm.inq[qi].pop() {
+        match self.io.comm.inq[qi].pop() {
             Some(v) => Ok(v),
             None => self.refill(qi),
         }
@@ -608,39 +1005,52 @@ impl Engine for Stage<'_> {
 
     fn depth(&mut self, queue: QueueId) -> Result<i64, QueueStop> {
         // Occupancy as visible to this context: the ring itself, plus
-        // anything this worker has produced but not yet flushed, plus
+        // anything this stage has produced but not yet flushed, plus
         // refilled values it has not yet served. The snapshot is racy by
         // design — the probe feeds a routing heuristic (work-stealing
         // scatter), never a correctness decision.
         let qi = queue.index();
-        let inq = &self.comm.inq[qi];
-        let local = self.comm.out[qi].len() + (inq.vals.len() - inq.next);
+        let inq = &self.io.comm.inq[qi];
+        let local = self.io.comm.out[qi].len() + (inq.vals.len() - inq.next);
         Ok((self.shared.queues[qi].len() + local) as i64)
     }
 }
 
-/// Runs hardware context `thread` to completion. Errors are reported to the
-/// monitor (first failure wins) and surface as an `Aborted` report.
-pub(crate) fn run_worker(shared: &Shared, thread: usize) -> WorkerReport {
-    let started = Instant::now();
-    let mut stage = Stage {
-        shared,
-        thread,
-        comm: Comm::new(shared.queues.len()),
-        faults: FaultSession::new(shared.faults.as_ref(), thread),
-        blocked: Duration::ZERO,
-        backoff: Backoff::default(),
-    };
-    let code = &shared.code;
-    let entry = shared.entries[thread];
-    let mut stack: Vec<Frame> = vec![code.frame(entry)];
-    let mut steps: u64 = 0;
-    let mut budget: u64 = 0;
-    let hooked = shared.faults.is_some();
+/// How a slice of a task ended.
+enum SliceEnd {
+    /// The task spent its step budget and can run on.
+    Budget,
+    /// A queue operation stopped so that another, ready task of this
+    /// thread can run.
+    Stopped,
+    /// The task ended.
+    Done(StageEnd),
+}
 
+/// Runs `task` for one slice under crash recovery: a panic shuts the run
+/// down with the panic as its cause, and the task ends as panicked.
+fn slice(shared: &Shared, task: &mut StageTask, peers: Peers<'_>) -> SliceEnd {
+    let stage = task.io.thread;
+    catch_unwind(AssertUnwindSafe(|| run_slice(shared, task, peers))).unwrap_or_else(|payload| {
+        shared.monitor.shutdown(
+            RtError::StagePanic {
+                stage,
+                message: panic_message(&*payload),
+            },
+            &shared.queues,
+        );
+        SliceEnd::Done(StageEnd::Panicked)
+    })
+}
+
+/// Runs `task` from a budget refill until its budget is spent, it ends, or
+/// one of its queue operations stops. Errors are reported to the monitor
+/// (first failure wins) and end the task as `Aborted`.
+fn run_slice(shared: &Shared, task: &mut StageTask, peers: Peers<'_>) -> SliceEnd {
+    let thread = task.io.thread;
     let fail = |err: RtError| {
         shared.monitor.shutdown(err, &shared.queues);
-        WorkerEnd::Aborted
+        SliceEnd::Done(StageEnd::Aborted)
     };
     // Converts the stop of a blocking queue operation.
     let queue_stop = |stop: QueueStop| match stop {
@@ -648,87 +1058,287 @@ pub(crate) fn run_worker(shared: &Shared, thread: usize) -> WorkerReport {
             queue,
             stage: thread,
         }),
-        QueueStop::End(e) => e,
+        QueueStop::End(e) => SliceEnd::Done(e),
+        QueueStop::WouldBlock => SliceEnd::Stopped,
+    };
+    let mut stage = Stage {
+        shared,
+        io: &mut task.io,
+        peers,
     };
 
-    let mut end = 'run: loop {
-        if budget == 0 {
+    if !task.halted {
+        if task.budget == 0 {
             let base = shared
                 .steps_claimed
                 .fetch_add(STEP_BATCH, Ordering::Relaxed);
             if base >= shared.step_limit {
-                break 'run fail(RtError::StepLimit(shared.step_limit));
+                return fail(RtError::StepLimit(shared.step_limit));
             }
-            budget = STEP_BATCH.min(shared.step_limit - base);
+            task.budget = STEP_BATCH.min(shared.step_limit - base);
             shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
-            shared.monitor.stage_steps[thread].store(steps, Ordering::Relaxed);
+            shared.monitor.stage_steps[thread].store(task.steps, Ordering::Relaxed);
             if shared.monitor.should_stop(&shared.queues) {
-                break 'run WorkerEnd::Aborted;
+                return SliceEnd::Done(StageEnd::Aborted);
             }
             // Cadence flush: don't let buffered values linger while this
             // stage computes without touching its queues.
-            side_flush(shared, &mut stage.comm.out);
+            side_flush(shared, &mut stage.io.comm.out);
         }
-        // With a fault plan, the hook runs before every attempt (a halt or a
-        // stopped queue operation included) with the count the instruction
-        // would retire as, and the executor runs that one instruction.
-        let max = if hooked {
-            stage.faults.on_step(thread, steps + 1, &shared.queues);
-            1
-        } else {
-            budget
-        };
-        let out = code.run(&mut stack, &mut stage, max);
-        steps += out.retired;
-        budget -= out.retired;
-        match out.exit {
-            Exit::Budget => {}
-            // Neither `halt` nor the terminate sentinel is a counted step
-            // (executor parity).
-            Exit::Halt => break 'run WorkerEnd::Terminated,
-            Exit::Stop(stop) => break 'run queue_stop(stop),
-            Exit::Fault(f) => {
-                break 'run fail(match f {
-                    Fault::MemoryOutOfBounds { address } => RtError::MemoryOutOfBounds {
-                        address,
-                        size: shared.memory.len(),
-                    },
-                    Fault::BadIndirectTarget(v) => RtError::BadIndirectTarget(v),
-                    Fault::ReturnFromEntry => RtError::ReturnFromEntry(thread),
-                })
+        let code = &shared.code;
+        let hooked = shared.faults.is_some();
+        loop {
+            // With a fault plan, the hook runs before every attempt (a halt
+            // or a stopped queue operation included) with the count the
+            // instruction would retire as, and the executor runs that one
+            // instruction. A resumed operation is the same attempt.
+            let max = if hooked {
+                if stage.io.resume.is_none() {
+                    stage
+                        .io
+                        .faults
+                        .on_step(thread, task.steps + 1, &shared.queues);
+                }
+                1
+            } else {
+                task.budget
+            };
+            let out = code.run(&mut task.stack, &mut stage, max);
+            task.steps += out.retired;
+            task.budget -= out.retired;
+            match out.exit {
+                Exit::Budget if task.budget == 0 => return SliceEnd::Budget,
+                Exit::Budget => {}
+                // Neither `halt` nor the terminate sentinel is a counted step
+                // (executor parity).
+                Exit::Halt => break,
+                Exit::Stop(stop) => return queue_stop(stop),
+                Exit::Fault(f) => {
+                    return fail(match f {
+                        Fault::MemoryOutOfBounds { address } => RtError::MemoryOutOfBounds {
+                            address,
+                            size: shared.memory.len(),
+                        },
+                        Fault::BadIndirectTarget(v) => RtError::BadIndirectTarget(v),
+                        Fault::ReturnFromEntry => RtError::ReturnFromEntry(thread),
+                    })
+                }
             }
         }
-    };
+        task.halted = true;
+    }
 
     // Stage-end flush: a terminating stage still owes its consumers
     // whatever it buffered since the last flush.
-    if end == WorkerEnd::Terminated {
-        for qi in 0..shared.queues.len() {
-            if stage.comm.out[qi].is_empty() {
-                continue;
+    for qi in 0..shared.queues.len() {
+        if stage.io.comm.out[qi].is_empty() {
+            continue;
+        }
+        if let Err(stop) = stage.flush(qi) {
+            return queue_stop(stop);
+        }
+    }
+    shared.monitor.terminate(thread, &shared.queues);
+    SliceEnd::Done(StageEnd::Terminated)
+}
+
+/// A pool worker's job for stage `t`: claims the task and runs it to its
+/// end, on this thread alone. `None` if the offer was withdrawn first.
+fn claim_and_run(shared: &Shared, t: usize) -> Option<(usize, StageReport)> {
+    let mut task = shared.offers[t].claim()?;
+    task.claimed_at = Some(task.steps);
+    task.run_at(Instant::now());
+    let end = loop {
+        if let SliceEnd::Done(end) = slice(shared, &mut task, Peers::NONE) {
+            break end;
+        }
+    };
+    Some((t, task.end(shared, end)))
+}
+
+/// Runs every stage of the run and returns their reports, indexed by
+/// hardware context.
+///
+/// The calling thread starts out holding every stage as a task and runs
+/// them round-robin — switching when a queue operation stops and at every
+/// `STEP_BATCH` refill, as the functional executor does — until a pool
+/// worker claims one. Stages 1.. are offered to the pool at the first
+/// refill; a worker that starts for one asks for it, and the calling thread
+/// hands it over at that task's next slice boundary. When the run ends, an
+/// offer no worker has taken is withdrawn: the caller waits only for the
+/// workers that started.
+pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
+    let n = shared.entries.len();
+    let mut local: Vec<StageTask> = (0..n).map(|t| StageTask::new(shared, t)).collect();
+    let mut reports: Vec<Option<StageReport>> = (0..n).map(|_| None).collect();
+    let (tx, rx) = mpsc::channel();
+    let mut tickets = Vec::new();
+    let offer = |tickets: &mut Vec<pool::Ticket>| {
+        for t in 1..n {
+            let shared = Arc::clone(shared);
+            tickets.push(pool::execute(move || claim_and_run(&shared, t), tx.clone()));
+        }
+    };
+    let mut handed = 0usize;
+    let mut cursor = 0usize;
+    let mut now = Instant::now();
+    while !local.is_empty() {
+        if !tickets.is_empty() {
+            let mut k = 0;
+            while k < local.len() {
+                let t = local[k].io.thread;
+                if t != 0 && shared.offers[t].wanted.load(Ordering::Relaxed) {
+                    shared.offers[t].hand(local.remove(k));
+                    handed += 1;
+                } else {
+                    k += 1;
+                }
             }
-            if let Err(stop) = stage.flush(qi) {
-                end = queue_stop(stop);
+            if local.is_empty() {
                 break;
             }
         }
+        if shared.monitor.abort.load(Ordering::Relaxed) {
+            for task in local.drain(..) {
+                let t = task.io.thread;
+                reports[t] = Some(task.end(shared, StageEnd::Aborted));
+            }
+            break;
+        }
+        let len = local.len();
+        // The next ready task in round-robin order; if none is, the next
+        // task anyway: its stopped operation then waits for the others.
+        let i = (0..len)
+            .map(|k| (cursor + k) % len)
+            .find(|&i| local[i].ready(&shared.queues))
+            .unwrap_or(cursor % len);
+        let (before, rest) = local.split_at_mut(i);
+        let (task, after) = rest.split_first_mut().expect("i < len");
+        task.run_at(now);
+        let peers = Peers {
+            before,
+            after,
+            alone: handed == 0,
+        };
+        let end = slice(shared, task, peers);
+        now = Instant::now();
+        match end {
+            SliceEnd::Budget => {
+                if tickets.is_empty() {
+                    offer(&mut tickets);
+                }
+                cursor = i + 1;
+            }
+            SliceEnd::Stopped => {
+                task.stopped = Some(now);
+                cursor = i + 1;
+            }
+            SliceEnd::Done(end) => {
+                let task = local.remove(i);
+                let t = task.io.thread;
+                if !tickets.is_empty() {
+                    shared.offers[t].withdraw();
+                }
+                reports[t] = Some(task.end(shared, end));
+                // A Park verdict ends every stopped task of the run.
+                if end == StageEnd::Parked {
+                    for task in local.drain(..) {
+                        let t = task.io.thread;
+                        reports[t] = Some(task.end(shared, StageEnd::Parked));
+                    }
+                }
+                cursor = i;
+            }
+        }
+    }
+    drop(tx);
+    let mut started = 0;
+    for (ticket, offer) in tickets.into_iter().zip(&shared.offers[1..]) {
+        if offer.withdraw() || !ticket.withdraw() {
+            started += 1;
+        }
+    }
+    for _ in 0..started {
+        if let Some((t, report)) = rx.recv().expect("a pool stage ended without reporting") {
+            reports[t] = Some(report);
+        }
+    }
+    reports
+        .into_iter()
+        .map(|r| r.expect("every stage reports once"))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::StallFault;
+    use dswp_ir::ProgramBuilder;
+
+    /// Two stages that halt at once, sharing one queue of capacity 1.
+    fn two_stages(plan: FaultPlan) -> Shared {
+        let mut pb = ProgramBuilder::new();
+        let mut stage = |name: &str| {
+            let mut f = pb.function(name);
+            let e = f.entry_block();
+            f.switch_to(e);
+            f.halt();
+            f.finish()
+        };
+        let (s0, s1) = (stage("s0"), stage("s1"));
+        let mut p = pb.finish(s0, 0);
+        p.num_queues = 1;
+        p.add_thread(s1);
+        Shared::new(&p, &RtConfig::default().queue_capacity(1).faults(plan))
     }
 
-    if end == WorkerEnd::Terminated {
-        shared.monitor.terminate(thread, &shared.queues);
-    }
-    shared.monitor.stage_steps[thread].store(steps, Ordering::Relaxed);
-    shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
+    #[test]
+    fn a_stopped_operation_keeps_its_stall_budget() {
+        // Stage 0's every second queue operation fails its first three
+        // attempts.
+        let stall = StallFault {
+            every: 2,
+            attempts: 3,
+            permanent: false,
+        };
+        let shared = two_stages(FaultPlan::none(2).with_stall(0, stall));
+        let mut consumer = StageTask::new(&shared, 0);
+        // Never run, so always ready: every failed attempt stops.
+        let peer = [StageTask::new(&shared, 1)];
+        let peers = Peers {
+            before: &[],
+            after: &peer,
+            alone: true,
+        };
+        let consume = |task: &mut StageTask| {
+            let mut stage = Stage {
+                shared: &shared,
+                io: &mut task.io,
+                peers,
+            };
+            stage.consume(QueueId(0)).ok()
+        };
+        let q = &shared.queues[0];
 
-    WorkerReport {
-        end,
-        steps,
-        entry_regs: code.entry_regs(&stack),
-        wall: started.elapsed(),
-        blocked: stage.blocked,
-        retries: stage.backoff.retries,
-        parks: stage.backoff.parks,
-        flushes: stage.comm.flushes,
-        refills: stage.comm.refills,
+        // Operation 1 is not stalled and finds the queue empty: it stops,
+        // and resumes as the same operation until a value arrives.
+        assert_eq!(consume(&mut consumer), None);
+        assert_eq!(consume(&mut consumer), None);
+        assert!(q.try_produce(7));
+        assert_eq!(consume(&mut consumer), Some(7));
+        assert_eq!(consumer.io.faults.queue_ops, 1);
+
+        // Operation 2 is stalled: each forced failure stops it once, and
+        // its fourth attempt completes.
+        assert!(q.try_produce(8));
+        for _ in 0..3 {
+            assert_eq!(consume(&mut consumer), None);
+        }
+        assert_eq!(consume(&mut consumer), Some(8));
+        assert_eq!(consumer.io.faults.queue_ops, 2);
+        assert!(consumer.io.resume.is_none());
+        assert_eq!(consumer.io.backoff.retries, 5);
+        // One block per logical operation, however often it stopped.
+        assert_eq!(q.stats().consumer_blocks, 2);
     }
 }

@@ -82,6 +82,70 @@ fn spin_forever() -> dswp_ir::Program {
     pb.finish(main, 0)
 }
 
+/// Stage 0 waits on queue 1 and stage 1 on queue 0; nothing produces.
+fn miswired() -> dswp_ir::Program {
+    let mut pb = ProgramBuilder::new();
+    let mut waiter = |name: &str, queue: u32| {
+        let mut f = pb.function(name);
+        let e = f.entry_block();
+        let r = f.reg();
+        f.switch_to(e);
+        f.consume(r, QueueId(queue));
+        f.halt();
+        f.finish()
+    };
+    let (s0, s1) = (waiter("s0", 1), waiter("s1", 0));
+    let mut p = pb.finish(s0, 0);
+    p.num_queues = 2;
+    p.add_thread(s1);
+    p
+}
+
+// The calling thread runs every stage of a run until one has spent a whole
+// step budget; the failures below all come before that, while it alone
+// holds the run, and must be the errors a thread per stage gives.
+
+#[test]
+fn deadlock_on_the_calling_thread_names_every_stage() {
+    let err = Runtime::new(&miswired()).run().unwrap_err();
+    assert_eq!(
+        err,
+        RtError::Deadlock {
+            blocked: vec![0, 1]
+        }
+    );
+}
+
+#[test]
+fn cancel_deadline_and_panic_on_the_calling_thread() {
+    silence_injected_panics();
+    let p = ping_pong(10_000);
+    let run = |cfg: RtConfig| Runtime::new(&p).with_config(cfg).run().unwrap_err();
+
+    let token = CancelToken::new();
+    token.cancel();
+    assert_eq!(
+        run(RtConfig::default().cancel_token(token)),
+        RtError::Cancelled
+    );
+
+    // Stage 1 never completes a queue operation, so stage 0 fills queue 0
+    // and stops: both stages wait on the calling thread, stage 0 lowest.
+    let stall = StallFault {
+        every: 1,
+        attempts: 0,
+        permanent: true,
+    };
+    let err = run(RtConfig::default()
+        .faults(FaultPlan::none(2).with_stall(1, stall))
+        .watchdog(Duration::from_secs(30))
+        .deadline(Duration::from_millis(50)));
+    assert!(matches!(err, RtError::Timeout { stage: 0, .. }), "{err}");
+
+    let err = run(RtConfig::default().faults(FaultPlan::none(2).with_panic(1, 50)));
+    assert!(matches!(err, RtError::StagePanic { stage: 1, .. }), "{err}");
+}
+
 #[test]
 fn injected_panic_is_recovered_as_stage_panic() {
     silence_injected_panics();

@@ -15,6 +15,7 @@
 extern crate self as dswp_repro;
 #[path = "../../../tests/common/mod.rs"]
 mod common;
+mod support;
 pub use dswp;
 use dswp_ir as ir;
 use dswp_rt as rt;
@@ -91,6 +92,23 @@ fn concurrent_callers_keep_their_runs_apart() {
             });
         }
     });
+}
+
+#[test]
+fn a_long_run_moves_its_stage_to_a_pool_worker() {
+    // The calling thread starts out running both stages; a worker claims
+    // stage 1 early in a run this long and retires most of it.
+    let p = support::two_stage_sum(200_000);
+    let r = Runtime::new(&p).run().expect("native run");
+    assert_eq!(r.memory[0], 199_999 * 200_000 / 2);
+    let s1 = &r.stages[1];
+    assert!(
+        s1.pool_steps * 2 > s1.steps,
+        "stage 1 retired {} of {} instructions on a pool worker",
+        s1.pool_steps,
+        s1.steps
+    );
+    assert_eq!(r.stages[0].pool_steps, 0);
 }
 
 #[test]

@@ -1,61 +1,17 @@
 //! A warm stage-worker pool starts no OS thread.
 //!
-//! `Runtime::run` hands stages 1.. to a process-wide pool, whose workers go
-//! back on the idle list before they report, so a caller's next run finds
-//! them idle. This check counts the process's threads, so it lives alone
+//! `Runtime::run` offers stages 1.. to a process-wide pool. A worker that
+//! took an offer goes back on the idle list before it reports, and the
+//! caller takes back an offer no worker took, so a caller's next run finds
+//! the workers idle. This check counts the process's threads, so it lives alone
 //! in its test binary: any other test running beside it would start
 //! threads of its own.
 
-use dswp_ir::{ProgramBuilder, QueueId};
-use dswp_rt::{RtConfig, Runtime};
+mod support;
 
-/// Stage 0 produces `0..n` and a -1 sentinel; stage 1 sums them into
-/// memory word 0.
-fn two_stage_sum(n: i64) -> dswp_ir::Program {
-    let mut pb = ProgramBuilder::new();
-    let mut f = pb.function("producer");
-    let (e, header, body, tail) = (f.entry_block(), f.block("h"), f.block("b"), f.block("t"));
-    let (i, lim, done) = (f.reg(), f.reg(), f.reg());
-    f.switch_to(e);
-    f.iconst(i, 0);
-    f.iconst(lim, n);
-    f.jump(header);
-    f.switch_to(header);
-    f.cmp_ge(done, i, lim);
-    f.br(done, tail, body);
-    f.switch_to(body);
-    f.produce(QueueId(0), i);
-    f.add(i, i, 1);
-    f.jump(header);
-    f.switch_to(tail);
-    f.produce(QueueId(0), -1);
-    f.halt();
-    let producer = f.finish();
+use dswp_rt::Runtime;
 
-    let mut g = pb.function("consumer");
-    let (e, loop_, acc, fin) = (g.entry_block(), g.block("l"), g.block("a"), g.block("f"));
-    let (v, sum, neg, base) = (g.reg(), g.reg(), g.reg(), g.reg());
-    g.switch_to(e);
-    g.iconst(sum, 0);
-    g.jump(loop_);
-    g.switch_to(loop_);
-    g.consume(v, QueueId(0));
-    g.cmp_lt(neg, v, 0);
-    g.br(neg, fin, acc);
-    g.switch_to(acc);
-    g.add(sum, sum, v);
-    g.jump(loop_);
-    g.switch_to(fin);
-    g.iconst(base, 0);
-    g.store(sum, base, 0);
-    g.halt();
-    let consumer = g.finish();
-
-    let mut p = pb.finish(producer, 1);
-    p.num_queues = 1;
-    p.add_thread(consumer);
-    p
-}
+use support::two_stage_sum;
 
 /// The number of threads in this process, where the OS lists them.
 fn os_threads() -> Option<usize> {
@@ -64,21 +20,33 @@ fn os_threads() -> Option<usize> {
 
 #[test]
 fn warm_pool_starts_no_thread() {
-    let p = two_stage_sum(100);
-    let run = || {
-        let r = Runtime::new(&p)
-            .with_config(RtConfig::default())
-            .run()
-            .unwrap();
-        assert_eq!(r.memory[0], 4_950);
+    // The calling thread runs a run's stages itself and offers stage 1 to
+    // the pool only once a stage spent a whole step budget; a worker
+    // claims it only after that. So the short run never reaches the pool,
+    // the medium one mostly ends before a worker claims its stage, and the
+    // long one moves its stage to a worker.
+    let programs = [100, 300, 20_000].map(|n| (n, two_stage_sum(n)));
+    let run = |(n, p): &(i64, dswp_ir::Program)| {
+        let r = Runtime::new(p).run().unwrap();
+        assert_eq!(r.memory[0], n * (n - 1) / 2);
+        r
     };
-    run();
+    for p in &programs {
+        run(p);
+    }
     let Some(warm) = os_threads() else {
         eprintln!("skipped: this OS does not list a process's threads in /proc");
         return;
     };
     for i in 0..200 {
-        run();
-        assert_eq!(os_threads(), Some(warm), "run {i} started a thread");
+        let short = run(&programs[0]);
+        assert!(short.stages.iter().all(|s| s.pool_steps == 0));
+        assert_eq!(os_threads(), Some(warm), "short run {i} started a thread");
+        run(&programs[1]);
+        assert_eq!(os_threads(), Some(warm), "medium run {i} started a thread");
+        if i % 20 == 0 {
+            run(&programs[2]);
+            assert_eq!(os_threads(), Some(warm), "long run {i} started a thread");
+        }
     }
 }
