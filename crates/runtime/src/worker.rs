@@ -1160,30 +1160,27 @@ fn claim_and_run(shared: &Shared, t: usize) -> Option<(usize, StageReport)> {
 /// hardware context.
 ///
 /// The calling thread starts out holding every stage as a task and runs
-/// them round-robin — switching when a queue operation stops and at every
-/// `STEP_BATCH` refill, as the functional executor does — until a pool
-/// worker claims one. Stages 1.. are offered to the pool at the first
-/// refill; a worker that starts for one asks for it, and the calling thread
-/// hands it over at that task's next slice boundary. When the run ends, an
-/// offer no worker has taken is withdrawn: the caller waits only for the
-/// workers that started.
+/// them round-robin, switching when a queue operation stops and at every
+/// `STEP_BATCH` refill, as the functional executor does. When one of its
+/// tasks first spends a whole budget, it offers the pool every stage 1..
+/// it still holds. A worker that starts for an offer asks for its task,
+/// and the calling thread hands the task over at its next slice boundary.
+/// When the run ends, an offer no worker has taken is withdrawn: the caller
+/// waits only for the workers that started. (Offering at run start instead
+/// made `perfbench` jobs 29% slower; see EXPERIMENTS.md.)
 pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
     let n = shared.entries.len();
     let mut local: Vec<StageTask> = (0..n).map(|t| StageTask::new(shared, t)).collect();
     let mut reports: Vec<Option<StageReport>> = (0..n).map(|_| None).collect();
     let (tx, rx) = mpsc::channel();
-    let mut tickets = Vec::new();
-    let offer = |tickets: &mut Vec<pool::Ticket>| {
-        for t in 1..n {
-            let shared = Arc::clone(shared);
-            tickets.push(pool::execute(move || claim_and_run(&shared, t), tx.clone()));
-        }
-    };
+    // The pool jobs of the offered stages.
+    let mut tickets: Vec<(usize, pool::Ticket)> = Vec::new();
+    let mut offered = false;
     let mut handed = 0usize;
     let mut cursor = 0usize;
     let mut now = Instant::now();
     while !local.is_empty() {
-        if !tickets.is_empty() {
+        if offered {
             let mut k = 0;
             while k < local.len() {
                 let t = local[k].io.thread;
@@ -1224,8 +1221,13 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
         now = Instant::now();
         match end {
             SliceEnd::Budget => {
-                if tickets.is_empty() {
-                    offer(&mut tickets);
+                if !offered {
+                    offered = true;
+                    for t in local.iter().map(|task| task.io.thread).filter(|&t| t != 0) {
+                        let shared = Arc::clone(shared);
+                        let job = move || claim_and_run(&shared, t);
+                        tickets.push((t, pool::execute(job, tx.clone())));
+                    }
                 }
                 cursor = i + 1;
             }
@@ -1236,7 +1238,7 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
             SliceEnd::Done(end) => {
                 let task = local.remove(i);
                 let t = task.io.thread;
-                if !tickets.is_empty() {
+                if offered {
                     shared.offers[t].withdraw();
                 }
                 reports[t] = Some(task.end(shared, end));
@@ -1253,8 +1255,8 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
     }
     drop(tx);
     let mut started = 0;
-    for (ticket, offer) in tickets.into_iter().zip(&shared.offers[1..]) {
-        if offer.withdraw() || !ticket.withdraw() {
+    for (t, ticket) in tickets {
+        if shared.offers[t].withdraw() || !ticket.withdraw() {
             started += 1;
         }
     }
