@@ -491,6 +491,14 @@ impl StageTask {
         }
     }
 
+    /// [`run_at`](Self::run_at) now, reading the clock only when the task
+    /// runs for the first time or after it stopped.
+    fn run_now(&mut self) {
+        if self.started.is_none() || self.stopped.is_some() {
+            self.run_at(Instant::now());
+        }
+    }
+
     /// Ends the task: publishes its final step count and reports.
     fn end(mut self, shared: &Shared, end: StageEnd) -> StageReport {
         let now = Instant::now();
@@ -816,7 +824,12 @@ impl Stage<'_> {
         mut attempt: impl FnMut() -> Option<i64>,
     ) -> Result<i64, QueueStop> {
         let shared = self.shared;
-        let resumed = self.io.resume.take();
+        // Test before taking: the common case then writes nothing.
+        let resumed = if self.io.resume.is_some() {
+            self.io.resume.take()
+        } else {
+            None
+        };
         let fresh = resumed.is_none();
         let mut stall = match resumed {
             Some(r) => {
@@ -1147,7 +1160,7 @@ fn run_slice(shared: &Shared, task: &mut StageTask, peers: Peers<'_>) -> SliceEn
 fn claim_and_run(shared: &Shared, t: usize) -> Option<(usize, StageReport)> {
     let mut task = shared.offers[t].claim()?;
     task.claimed_at = Some(task.steps);
-    task.run_at(Instant::now());
+    task.run_now();
     let end = loop {
         if let SliceEnd::Done(end) = slice(shared, &mut task, Peers::NONE) {
             break end;
@@ -1178,7 +1191,6 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
     let mut offered = false;
     let mut handed = 0usize;
     let mut cursor = 0usize;
-    let mut now = Instant::now();
     while !local.is_empty() {
         if offered {
             let mut k = 0;
@@ -1211,15 +1223,13 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
             .unwrap_or(cursor % len);
         let (before, rest) = local.split_at_mut(i);
         let (task, after) = rest.split_first_mut().expect("i < len");
-        task.run_at(now);
+        task.run_now();
         let peers = Peers {
             before,
             after,
             alone: handed == 0,
         };
-        let end = slice(shared, task, peers);
-        now = Instant::now();
-        match end {
+        match slice(shared, task, peers) {
             SliceEnd::Budget => {
                 if !offered {
                     offered = true;
@@ -1232,7 +1242,7 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
                 cursor = i + 1;
             }
             SliceEnd::Stopped => {
-                task.stopped = Some(now);
+                task.stopped = Some(Instant::now());
                 cursor = i + 1;
             }
             SliceEnd::Done(end) => {
