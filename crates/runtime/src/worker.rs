@@ -705,12 +705,15 @@ fn slip(queue: &SpscQueue) {
     }
 }
 
-/// Spin-then-park loop of a queue operation whose first attempt failed
-/// (see [`Stage::op`]). `attempt` performs the non-blocking queue
-/// operation, returning the first consumed value (or 0 for produces) on
-/// completion; it may make partial progress across calls. `stall` forces
-/// attempts to fail first (fault injection). A blocked produce first
-/// [slips](slip).
+/// The rest of a queue operation whose first attempt failed (see
+/// [`Stage::op`]): it counts the block once per logical operation
+/// (`fresh`), stops the task if its thread holds another ready task, and
+/// otherwise spins, yields and parks. `attempt` performs the non-blocking
+/// queue operation, returning the first consumed value (or 0 for
+/// produces) on completion; it may make partial progress across calls.
+/// `stall` forces attempts to fail first (fault injection); an operation
+/// that stops keeps what is left of it in the task's [`Resume`]. A blocked
+/// produce first [slips](slip).
 ///
 /// While waiting, the stage side-flushes its other pending output
 /// buffers and registers them in its monitor [`WaitSet`], so buffered
@@ -727,11 +730,31 @@ fn comm_wait(
     shared: &Shared,
     io: &mut StageIo,
     info: BlockInfo,
-    stall: &mut Stall,
+    mut stall: Stall,
+    fresh: bool,
     peers: Peers<'_>,
     mut attempt: impl FnMut() -> Option<i64>,
 ) -> Result<i64, QueueStop> {
     let queue = &shared.queues[info.queue];
+    if fresh {
+        match info.kind {
+            BlockKind::Produce => queue.count_producer_block(),
+            BlockKind::Consume => queue.count_consumer_block(),
+        }
+    }
+    if !peers.is_empty() {
+        // Stop only after flushing what the peers may be waiting for.
+        side_flush(shared, &mut io.comm.out);
+        if peers.any_ready(&shared.queues) {
+            io.backoff.retries += 1;
+            io.resume = Some(Resume {
+                info,
+                stall,
+                flushed: 0,
+            });
+            return Err(QueueStop::WouldBlock);
+        }
+    }
     let began = Instant::now();
     if info.kind == BlockKind::Produce {
         side_flush(shared, &mut io.comm.out);
@@ -797,7 +820,25 @@ fn comm_wait(
         };
     shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
     io.blocked += began.elapsed();
+    if let Err(QueueStop::WouldBlock) = outcome {
+        io.resume = Some(Resume {
+            info,
+            stall,
+            flushed: 0,
+        });
+    }
     outcome
+}
+
+/// The stall budget of the operation a task stopped in, as it resumes.
+#[cold]
+fn resumed_stall(io: &mut StageIo, info: BlockInfo) -> Stall {
+    let r = io
+        .resume
+        .take()
+        .expect("a stopped task has an operation to resume");
+    debug_assert_eq!(r.info, info, "a task resumes the operation it stopped in");
+    r.stall
 }
 
 /// A stage's [`Engine`]: shared memory, the batched queues, and the
@@ -811,12 +852,12 @@ struct Stage<'a> {
 
 impl Stage<'_> {
     /// One blocking queue operation on `info.queue`: the first attempt runs
-    /// here, with nothing set up for waiting. After a failed attempt the
-    /// operation stops ([`QueueStop::WouldBlock`]) if another task of this
-    /// thread is ready, and enters [`comm_wait`] otherwise — so a thread
-    /// with one task waits exactly as a thread per stage would. `attempt`
-    /// is as there. The fault plan's stall cadence counts one operation per
-    /// logical operation, however often it stops and resumes.
+    /// here, with nothing set up for waiting, and only a failed attempt
+    /// enters [`comm_wait`], which stops the task if another task of this
+    /// thread is ready and waits otherwise — so a thread with one task
+    /// waits exactly as a thread per stage would. `attempt` is as there.
+    /// The fault plan's stall cadence counts one operation per logical
+    /// operation, however often it stops and resumes.
     #[inline]
     fn op(
         &mut self,
@@ -824,19 +865,11 @@ impl Stage<'_> {
         mut attempt: impl FnMut() -> Option<i64>,
     ) -> Result<i64, QueueStop> {
         let shared = self.shared;
-        // Test before taking: the common case then writes nothing.
-        let resumed = if self.io.resume.is_some() {
-            self.io.resume.take()
+        let fresh = self.io.resume.is_none();
+        let mut stall = if fresh {
+            self.io.faults.stall_budget()
         } else {
-            None
-        };
-        let fresh = resumed.is_none();
-        let mut stall = match resumed {
-            Some(r) => {
-                debug_assert_eq!(r.info, info, "a task resumes the operation it stopped in");
-                r.stall
-            }
-            None => self.io.faults.stall_budget(),
+            resumed_stall(self.io, info)
         };
         let queue = &shared.queues[info.queue];
         if dead_end(queue, info.kind) {
@@ -848,30 +881,7 @@ impl Stage<'_> {
                 return Ok(v);
             }
         }
-        if fresh {
-            match info.kind {
-                BlockKind::Produce => queue.count_producer_block(),
-                BlockKind::Consume => queue.count_consumer_block(),
-            }
-        }
-        if !self.peers.is_empty() {
-            // Stop only after flushing what the peers may be waiting for.
-            side_flush(shared, &mut self.io.comm.out);
-        }
-        let res = if self.peers.any_ready(&shared.queues) {
-            self.io.backoff.retries += 1;
-            Err(QueueStop::WouldBlock)
-        } else {
-            comm_wait(shared, self.io, info, &mut stall, self.peers, attempt)
-        };
-        if let Err(QueueStop::WouldBlock) = res {
-            self.io.resume = Some(Resume {
-                info,
-                stall,
-                flushed: 0,
-            });
-        }
-        res
+        comm_wait(shared, self.io, info, stall, fresh, self.peers, attempt)
     }
 
     /// Blocking flush of output buffer `qi`: publishes every buffered value
