@@ -82,14 +82,7 @@ pub fn to_text(program: &Program) -> String {
     if nonzero.peek().is_some() {
         out.push_str("\nmemory {\n");
         for (a, &v) in nonzero {
-            out.push_str("  ");
-            push_u64(&mut out, a as u64);
-            out.push_str(": ");
-            if v < 0 {
-                out.push('-');
-            }
-            push_u64(&mut out, v.unsigned_abs());
-            out.push('\n');
+            push_entry(&mut out, a as u64, v);
         }
         out.push_str("}\n");
     }
@@ -117,21 +110,40 @@ pub fn to_text(program: &Program) -> String {
 
 /// Writes one instruction: its `Display` form, plus the affine annotation
 /// that `Display` leaves out of loads and stores.
-/// Appends the decimal digits of `n`, as `{n}` formats it but without
-/// going through `core::fmt`: memory sections are most of a program's
-/// text.
-fn push_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
+/// Appends the memory entry `  {addr}: {value}` and a newline, as
+/// `writeln!` formats it but without going through `core::fmt`: memory
+/// sections are most of a program's text. The line is assembled from the
+/// right in a stack buffer and appended at once.
+fn push_entry(out: &mut String, addr: u64, value: i64) {
+    // Two spaces, 20 address digits, `: `, a sign, 20 value digits, `\n`.
+    let mut line = [0u8; 46];
+    let mut at = line.len() - 1;
+    line[at] = b'\n';
+    at = push_digits(&mut line[..at], value.unsigned_abs());
+    if value < 0 {
+        at -= 1;
+        line[at] = b'-';
+    }
+    at -= 2;
+    line[at..at + 2].copy_from_slice(b": ");
+    at = push_digits(&mut line[..at], addr);
+    at -= 2;
+    line[at..at + 2].copy_from_slice(b"  ");
+    out.push_str(std::str::from_utf8(&line[at..]).expect("ASCII digits and punctuation"));
+}
+
+/// Writes the decimal digits of `n` at the end of `buf` and returns where
+/// they start.
+fn push_digits(buf: &mut [u8], mut n: u64) -> usize {
+    let mut at = buf.len();
     loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
-            break;
+            return at;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
 }
 
 fn write_op(out: &mut String, op: &Op) {
