@@ -147,7 +147,7 @@ pub(crate) struct Monitor {
 /// the poison in the worker's blocking loop (which converts it into a
 /// structured error) — instead of sleeping on a dead endpoint or tripping
 /// a spurious deadlock verdict.
-pub(crate) fn satisfiable(info: BlockInfo, queues: &[SpscQueue]) -> bool {
+fn satisfiable(info: BlockInfo, queues: &[SpscQueue]) -> bool {
     let q = &queues[info.queue];
     if q.is_poisoned() {
         return true;
@@ -161,11 +161,21 @@ pub(crate) fn satisfiable(info: BlockInfo, queues: &[SpscQueue]) -> bool {
 /// Whether anything in the wait set can make progress: the primary op, or a
 /// flush of a pending output buffer (a produce-shaped op on that queue).
 fn satisfiable_set(set: &WaitSet, queues: &[SpscQueue]) -> bool {
-    satisfiable(set.primary, queues)
-        || set.flush.iter().any(|&q| {
+    can_progress(set.primary, set.flush.iter().copied(), queues)
+}
+
+/// [`satisfiable_set`] of the set made of `primary` and the pending flushes
+/// to `flush`, without building it.
+pub(crate) fn can_progress(
+    primary: BlockInfo,
+    mut flush: impl Iterator<Item = usize>,
+    queues: &[SpscQueue],
+) -> bool {
+    satisfiable(primary, queues)
+        || flush.any(|queue| {
             satisfiable(
                 BlockInfo {
-                    queue: q,
+                    queue,
                     kind: BlockKind::Produce,
                 },
                 queues,

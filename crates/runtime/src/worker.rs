@@ -96,7 +96,7 @@ use dswp_ir::exec::{Code, Engine, Exit, Fault, Frame};
 use dswp_ir::{FuncId, Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
-use crate::monitor::{satisfiable, BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
+use crate::monitor::{can_progress, BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
 use crate::pool::{self, lock};
 use crate::queue::{BatchHistogram, SpscQueue};
 use crate::{panic_message, RtConfig, RtError};
@@ -276,13 +276,12 @@ impl Comm {
     }
 
     /// Queues this stage holds a non-empty output buffer for.
-    fn pending(&self) -> Vec<usize> {
+    fn pending(&self) -> impl Iterator<Item = usize> + '_ {
         self.out
             .iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
             .map(|(qi, _)| qi)
-            .collect()
     }
 }
 
@@ -469,18 +468,17 @@ impl StageTask {
         let Some(r) = &self.io.resume else {
             return true;
         };
-        !r.stall.permanent()
-            && (satisfiable(r.info, queues)
-                || self.io.comm.out.iter().enumerate().any(|(queue, b)| {
-                    !b.is_empty()
-                        && satisfiable(
-                            BlockInfo {
-                                queue,
-                                kind: BlockKind::Produce,
-                            },
-                            queues,
-                        )
-                }))
+        !r.stall.permanent() && can_progress(r.info, self.io.comm.pending(), queues)
+    }
+
+    /// The stage and wait set of a task stopped in a queue operation.
+    fn wait_set(&self) -> Option<(usize, WaitSet)> {
+        let r = self.io.resume.as_ref()?;
+        let set = WaitSet {
+            primary: r.info,
+            flush: self.io.comm.pending().collect(),
+        };
+        Some((self.io.thread, set))
     }
 
     /// Accounts for the time up to `now`, when the task runs again.
@@ -799,17 +797,10 @@ fn comm_wait(
                 io.backoff.parks += 1;
                 let own = WaitSet {
                     primary: info,
-                    flush: io.comm.pending(),
+                    flush: io.comm.pending().collect(),
                 };
                 let waits: Vec<(usize, WaitSet)> = std::iter::once((io.thread, own))
-                    .chain(peers.iter().filter_map(|t| {
-                        let r = t.io.resume.as_ref()?;
-                        let set = WaitSet {
-                            primary: r.info,
-                            flush: t.io.comm.pending(),
-                        };
-                        Some((t.io.thread, set))
-                    }))
+                    .chain(peers.iter().filter_map(StageTask::wait_set))
                     .collect();
                 match shared.monitor.wait(&waits, &shared.queues) {
                     WaitOutcome::Ready => {}
