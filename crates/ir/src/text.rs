@@ -732,9 +732,9 @@ fn reg(ln: usize, s: &str) -> Result<Reg, ParseError> {
 
 fn operand(ln: usize, s: &str) -> Result<Operand, ParseError> {
     let s = s.trim_end_matches(',');
-    match s.strip_prefix('r') {
-        Some(n) if n.bytes().all(|b| b.is_ascii_digit()) => Ok(Operand::Reg(reg(ln, s)?)),
-        _ => Ok(Operand::Imm(number(ln, s)?)),
+    match s.strip_prefix('r').and_then(|n| n.parse().ok()) {
+        Some(n) => Ok(Operand::Reg(Reg(n))),
+        None => Ok(Operand::Imm(number(ln, s)?)),
     }
 }
 

@@ -21,11 +21,12 @@
 //! run's tasks itself, switching between them when a queue operation would
 //! block, until workers of a process-wide pool claim stages 1..: once a
 //! stage has retired a whole step budget (1024 instructions) they are
-//! offered to the pool, and a worker that starts takes its stage over at
-//! the stage's next slice boundary and runs it on a thread of its own. A
-//! short run thus never waits for a thread to wake or for values to cross
-//! cores, a long run gets a thread per stage, and a warm pool starts no
-//! thread.
+//! offered to the pool, and a worker that wakes takes its stage over at
+//! the stage's next slice boundary and runs it on a thread of its own. The
+//! pool module owns that hand-over, one state machine per worker; a stage
+//! that was never handed over is taken back when its run ends. A short run
+//! thus never waits for a thread to wake or for values to cross cores, a
+//! long run gets a thread per stage, and a warm pool starts no thread.
 //!
 //! The synchronization-array gap the paper glosses over — its hardware
 //! `produce`/`consume` cost ~a cycle, a software queue costs at least a
@@ -475,12 +476,6 @@ pub struct StageStats {
     pub parks: u64,
     /// Whether the stage thread panicked (caught by crash recovery).
     pub panicked: bool,
-    /// Sizes of the logical output batches this stage flushed (one entry
-    /// per blocking flush; size = values delivered by that flush).
-    pub flushes: BatchHistogram,
-    /// Sizes of the input batches this stage refilled (one entry per
-    /// blocking refill; size = values acquired by that refill).
-    pub refills: BatchHistogram,
 }
 
 /// The observable result of a completed native run.
@@ -573,8 +568,6 @@ impl<'p> Runtime<'p> {
                     retries: r.retries,
                     parks: r.parks,
                     panicked: r.end == StageEnd::Panicked,
-                    flushes: r.flushes,
-                    refills: r.refills,
                 })
                 .collect(),
             queues: shared.queues.iter().map(|q| q.stats()).collect(),
@@ -708,10 +701,10 @@ mod tests {
         let r = run_native(&p, RtConfig::default().batch_auto()).unwrap();
         assert_eq!(r.memory[0], 1_999_000);
         // Capacity 32 → chunk 16: the data queue must see real batches,
-        // both at the queue level and in the per-stage histograms.
+        // and every value the producer sent must reach the consumer.
         assert!(r.queues[0].flush_sizes.mean() > 1.0);
-        assert!(r.stages[0].flushes.count > 0);
-        assert!(r.stages[1].refills.sum >= 2_001);
+        assert_eq!(r.queues[0].flush_sizes.sum, 2_001);
+        assert_eq!(r.queues[0].refill_sizes.sum, 2_001);
     }
 
     #[test]

@@ -131,14 +131,6 @@ pub struct BatchHistogram {
 }
 
 impl BatchHistogram {
-    /// Records one batch of `n` values (single-owner accumulation — the
-    /// worker-side counterpart of [`Histo::record`]).
-    pub(crate) fn add(&mut self, n: usize) {
-        self.buckets[bucket(n)] += 1;
-        self.count += 1;
-        self.sum += n as u64;
-    }
-
     /// Mean batch size, or 0.0 when nothing was recorded.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -19,26 +19,29 @@
 //! when a queue operation stops and at every `STEP_BATCH` budget refill:
 //! the functional executor's interleave, over the real queues. Once one of
 //! its tasks has spent a whole budget, stages 1.. are offered to the stage
-//! pool. A worker that starts for an [`Offer`] asks for its task, and the
-//! calling thread hands the task over at its next slice boundary, through
-//! the offer's mutex; the worker then runs it to its end, alone. When the
-//! run ends, the calling thread withdraws every offer no worker took and
-//! waits only for the workers that started. A short run — a service job of
-//! a few thousand instructions — thus pays for no wake-up and moves no
-//! value between cores, and a long one moves its stages to workers within
-//! a few budgets of instructions.
+//! pool, which owns the whole hand-over ([`pool::offer`]). A worker that
+//! wakes for an offer asks for its task, and the calling thread hands the
+//! task over at its next slice boundary; the worker then runs it to its
+//! end, alone ([`run_claimed`]). When the run ends, the calling thread
+//! takes back every offer it never handed over and waits only for the
+//! stages it did. A short run — a service job of a few thousand
+//! instructions — thus pays for no wake-up and moves no value between
+//! cores, and a long one moves its stages to workers within a few budgets
+//! of instructions.
 //!
 //! The stage engine is the same on every thread. After the failed first
 //! attempt of a queue operation it stops the task only when its thread
 //! holds another task that is ready; otherwise — always on a worker, which
 //! holds one task — it enters the spin→yield→park wait, so a thread that
 //! holds one task behaves exactly as a thread per stage. A stopped
-//! operation keeps its stall budget (fault injection) and the part of a
-//! flush it already published, so it counts once when it resumes and the
-//! fault cadence stays exact. Without a fault plan a slice hands the
-//! executor a whole claimed budget (up to `STEP_BATCH` instructions) per
-//! call; with a plan it calls the same executor one instruction at a time
-//! and runs the per-instruction fault hook before each.
+//! operation keeps its stall budget (fault injection), so it counts once
+//! when it resumes and the fault cadence stays exact; a stopped flush keeps
+//! only the values it has not published yet. A slice hands the executor a
+//! whole claimed budget (up to `STEP_BATCH` instructions) per call; with a
+//! fault plan it runs the fault hook once per retired-instruction count,
+//! before that instruction's first attempt, and stops the executor at the
+//! next count at which the hook acts (a delay, the poison or the panic), so
+//! fault runs take the same budgeted path as every other run.
 //!
 //! Shared program memory is a `Vec<AtomicI64>` accessed with relaxed
 //! loads/stores; cross-stage ordering comes from the queues' release/acquire
@@ -88,8 +91,8 @@
 //! `lib.rs` into structured [`RtError`]s.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dswp_ir::exec::{Code, Engine, Exit, Fault, Frame};
@@ -97,8 +100,8 @@ use dswp_ir::{FuncId, Program, QueueId};
 
 use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
 use crate::monitor::{can_progress, BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
-use crate::pool::{self, lock};
-use crate::queue::{BatchHistogram, SpscQueue};
+use crate::pool;
+use crate::queue::SpscQueue;
 use crate::{panic_message, RtConfig, RtError};
 
 /// Steps claimed from the shared budget at a time; also the cadence of
@@ -106,10 +109,11 @@ use crate::{panic_message, RtConfig, RtError};
 /// flushes of lingering output buffers, and the calling thread's
 /// round-robin over its tasks.
 const STEP_BATCH: u64 = 1024;
-/// Busy-spin iterations on a blocked queue before yielding.
-const SPINS: u32 = 64;
-/// `yield_now` iterations after spinning before parking on the monitor.
-const YIELDS: u32 = 32;
+/// Busy-spin iterations on a blocked queue, or by a pool worker that waits
+/// for its stage, before yielding.
+pub(crate) const SPINS: u32 = 64;
+/// `yield_now` iterations after spinning before parking.
+pub(crate) const YIELDS: u32 = 32;
 /// The longest wait, in PAUSEs, between two reads of the consumer's cursor
 /// by a producer that found its queue full (see [`slip`]).
 const SLIP_MAX_PAUSES: u32 = 64;
@@ -132,9 +136,6 @@ pub(crate) struct Shared {
     pub step_limit: u64,
     /// Fault-injection plan, if any.
     pub faults: Option<FaultPlan>,
-    /// Per-stage offers to the pool, indexed by hardware context (stage 0
-    /// is never offered).
-    pub offers: Vec<Offer>,
 }
 
 impl Shared {
@@ -178,7 +179,6 @@ impl Shared {
             steps_claimed: AtomicU64::new(0),
             step_limit: config.step_limit,
             faults: config.faults.clone(),
-            offers: (0..num_threads).map(|_| Offer::default()).collect(),
         }
     }
 }
@@ -219,10 +219,6 @@ pub(crate) struct StageReport {
     pub retries: u64,
     /// Times the stage gave up spinning and parked on the monitor.
     pub parks: u64,
-    /// Sizes of the logical output batches this stage flushed.
-    pub flushes: BatchHistogram,
-    /// Sizes of the input batches this stage refilled.
-    pub refills: BatchHistogram,
 }
 
 /// Why a blocking queue operation did not complete.
@@ -255,14 +251,11 @@ impl InBuf {
 }
 
 /// A stage's communication state: per-queue output buffers awaiting a
-/// flush, per-queue input buffers being served, and the per-stage batch
-/// histograms.
+/// flush, and per-queue input buffers being served.
 #[derive(Debug)]
 struct Comm {
     out: Vec<Vec<i64>>,
     inq: Vec<InBuf>,
-    flushes: BatchHistogram,
-    refills: BatchHistogram,
 }
 
 impl Comm {
@@ -270,8 +263,6 @@ impl Comm {
         Comm {
             out: vec![Vec::new(); num_queues],
             inq: (0..num_queues).map(|_| InBuf::default()).collect(),
-            flushes: BatchHistogram::default(),
-            refills: BatchHistogram::default(),
         }
     }
 
@@ -295,6 +286,8 @@ struct FaultSession {
     queue_ops: u64,
     /// Whether the poison fault already fired.
     poisoned: bool,
+    /// The last retired-instruction count the hook ran for.
+    hooked: u64,
 }
 
 impl FaultSession {
@@ -306,11 +299,41 @@ impl FaultSession {
                 .unwrap_or_default(),
             queue_ops: 0,
             poisoned: false,
+            hooked: 0,
         }
     }
 
-    /// Per-instruction hook, called after `steps` was incremented. Applies
-    /// the delay, poisons queues, and triggers the forced panic.
+    /// Runs [`on_step`](Self::on_step) for `count`, the count the next
+    /// instruction retires as, unless it already ran for it (a resumed
+    /// queue operation is the same attempt), and returns how many
+    /// instructions may run before the hook can act again.
+    fn hook(&mut self, stage: usize, count: u64, queues: &[SpscQueue]) -> u64 {
+        if self.hooked < count {
+            self.hooked = count;
+            self.on_step(stage, count, queues);
+        }
+        self.next_trigger(count) - count
+    }
+
+    /// The first count after `count` at which [`on_step`](Self::on_step)
+    /// acts: the next delay multiple, the poison step if the poison has not
+    /// fired, or the panic step; `u64::MAX` if there is none.
+    fn next_trigger(&self, count: u64) -> u64 {
+        let f = &self.faults;
+        let delay = f
+            .delay
+            .and_then(|d| (count.checked_div(d.every)? + 1).checked_mul(d.every));
+        let poison = f.poison.filter(|_| !self.poisoned).map(|p| p.after_steps);
+        [delay, poison, f.panic_at]
+            .into_iter()
+            .flatten()
+            .filter(|&c| c > count)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The hook for `steps`, the count the next instruction retires as.
+    /// Applies the delay, poisons queues, and triggers the forced panic.
     ///
     /// # Panics
     ///
@@ -393,15 +416,13 @@ struct Backoff {
 /// A queue operation that stopped to let another task of its thread run,
 /// kept so the re-executed instruction continues it rather than starting a
 /// new one: the stall budget is spent once per logical operation, so the
-/// fault cadence stays exact, and a partly published flush continues where
-/// it stopped.
+/// fault cadence stays exact. A partly published flush continues where it
+/// stopped, since its unpublished values stay in the output buffer.
 #[derive(Debug)]
 struct Resume {
     info: BlockInfo,
     /// Forced failures the operation still owes.
     stall: Stall,
-    /// Values of the flush that were published before it stopped.
-    flushed: usize,
 }
 
 /// What the stage engine works on: the stage's communication, fault and
@@ -441,7 +462,7 @@ pub(crate) struct StageTask {
 }
 
 impl StageTask {
-    fn new(shared: &Shared, thread: usize) -> Self {
+    pub(crate) fn new(shared: &Shared, thread: usize) -> Self {
         StageTask {
             stack: vec![shared.code.frame(shared.entries[thread])],
             io: StageIo {
@@ -517,8 +538,6 @@ impl StageTask {
             blocked: self.io.blocked,
             retries: self.io.backoff.retries,
             parks: self.io.backoff.parks,
-            flushes: self.io.comm.flushes,
-            refills: self.io.comm.refills,
         }
     }
 }
@@ -551,95 +570,6 @@ impl<'a> Peers<'a> {
 
     fn any_ready(self, queues: &[SpscQueue]) -> bool {
         self.iter().any(|t| t.ready(queues))
-    }
-}
-
-/// Stage `t`'s offer to the pool. The calling thread runs the task until a
-/// pool worker that started for it asks for it, and hands it over at the
-/// task's next slice boundary; from then on the worker runs it to its end.
-#[derive(Debug, Default)]
-pub(crate) struct Offer {
-    /// Raised by a pool worker that waits for the task; the calling thread
-    /// reads it at every slice boundary. The task itself moves through
-    /// `slot`'s mutex, whose unlock and lock order the two threads' work on
-    /// it.
-    wanted: AtomicBool,
-    slot: Mutex<Slot>,
-    /// Wakes the waiting worker when `slot` changes.
-    changed: Condvar,
-}
-
-/// Where an offered task is.
-#[derive(Debug, Default)]
-enum Slot {
-    /// The calling thread holds it.
-    #[default]
-    Caller,
-    /// Handed over; the waiting worker takes it.
-    Handed(Box<StageTask>),
-    /// A pool worker runs it.
-    Claimed,
-    /// The calling thread ran it to its end, or the run ended.
-    Withdrawn,
-}
-
-impl Offer {
-    /// A pool worker's claim: waits until the calling thread hands the task
-    /// over, or returns `None` once the offer is withdrawn. It waits as a
-    /// blocked queue operation does — spinning, then yielding, then parked
-    /// — so a claim that comes soon, and the end of a short run, cost no
-    /// wake-up.
-    fn claim(&self) -> Option<Box<StageTask>> {
-        self.wanted.store(true, Ordering::Relaxed);
-        let mut tries: u32 = 0;
-        let mut slot = lock(&self.slot);
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Claimed) {
-                Slot::Handed(task) => return Some(task),
-                Slot::Caller => *slot = Slot::Caller,
-                // One worker per offer, so never `Claimed`.
-                other => {
-                    *slot = other;
-                    return None;
-                }
-            }
-            tries += 1;
-            if tries <= SPINS + YIELDS {
-                drop(slot);
-                if tries <= SPINS {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-                slot = lock(&self.slot);
-            } else {
-                slot = self
-                    .changed
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-
-    /// Hands `task` to the worker that asked for it.
-    fn hand(&self, task: StageTask) {
-        *lock(&self.slot) = Slot::Handed(Box::new(task));
-        self.changed.notify_one();
-    }
-
-    /// Withdraws the offer unless the task was handed over, and says
-    /// whether it was.
-    fn withdraw(&self) -> bool {
-        let mut slot = lock(&self.slot);
-        match *slot {
-            Slot::Caller => {
-                *slot = Slot::Withdrawn;
-                self.changed.notify_one();
-                false
-            }
-            Slot::Withdrawn => false,
-            Slot::Handed(_) | Slot::Claimed => true,
-        }
     }
 }
 
@@ -745,11 +675,7 @@ fn comm_wait(
         side_flush(shared, &mut io.comm.out);
         if peers.any_ready(&shared.queues) {
             io.backoff.retries += 1;
-            io.resume = Some(Resume {
-                info,
-                stall,
-                flushed: 0,
-            });
+            io.resume = Some(Resume { info, stall });
             return Err(QueueStop::WouldBlock);
         }
     }
@@ -812,11 +738,7 @@ fn comm_wait(
     shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
     io.blocked += began.elapsed();
     if let Err(QueueStop::WouldBlock) = outcome {
-        io.resume = Some(Resume {
-            info,
-            stall,
-            flushed: 0,
-        });
+        io.resume = Some(Resume { info, stall });
     }
     outcome
 }
@@ -881,7 +803,6 @@ impl Stage<'_> {
     /// published in the buffer and continues when the task resumes.
     fn flush(&mut self, qi: usize) -> Result<(), QueueStop> {
         let shared = self.shared;
-        let base = self.io.resume.as_ref().map_or(0, |r| r.flushed);
         let mut buf = std::mem::take(&mut self.io.comm.out[qi]);
         let q = &shared.queues[qi];
         let info = BlockInfo {
@@ -903,17 +824,10 @@ impl Stage<'_> {
             None
         });
         match &res {
-            Ok(_) => {
-                self.io.comm.flushes.add(base + buf.len());
-                buf.clear();
-            }
             Err(QueueStop::WouldBlock) => {
                 buf.drain(..pos);
-                if let Some(r) = &mut self.io.resume {
-                    r.flushed = base + pos;
-                }
             }
-            Err(_) => buf.clear(),
+            _ => buf.clear(),
         }
         self.io.comm.out[qi] = buf; // keep the allocation
         res.map(drop)
@@ -937,7 +851,6 @@ impl Stage<'_> {
         let res = self.op(info, || (q.pop_batch(vals, max) > 0).then(|| vals[0]));
         if res.is_ok() {
             buf.next = 1;
-            self.io.comm.refills.add(buf.vals.len());
         }
         self.io.comm.inq[qi] = buf; // keep the allocation
         res
@@ -981,7 +894,6 @@ impl Engine for Stage<'_> {
                 kind: BlockKind::Produce,
             };
             self.op(info, || q.try_produce(value).then_some(0))?;
-            self.io.comm.flushes.add(1);
             return Ok(());
         }
         // A resumed produce already buffered its value: only its flush is
@@ -1007,9 +919,7 @@ impl Engine for Stage<'_> {
                 queue: qi,
                 kind: BlockKind::Consume,
             };
-            let v = self.op(info, || q.try_consume())?;
-            self.io.comm.refills.add(1);
-            return Ok(v);
+            return self.op(info, || q.try_consume());
         }
         match self.io.comm.inq[qi].pop() {
             Some(v) => Ok(v),
@@ -1102,18 +1012,13 @@ fn run_slice(shared: &Shared, task: &mut StageTask, peers: Peers<'_>) -> SliceEn
         let code = &shared.code;
         let hooked = shared.faults.is_some();
         loop {
-            // With a fault plan, the hook runs before every attempt (a halt
-            // or a stopped queue operation included) with the count the
-            // instruction would retire as, and the executor runs that one
-            // instruction. A resumed operation is the same attempt.
+            // With a fault plan, the hook runs once per count, before the
+            // first attempt of the instruction that would retire as it (a
+            // halt included), and the executor runs up to the next count at
+            // which the hook acts.
             let max = if hooked {
-                if stage.io.resume.is_none() {
-                    stage
-                        .io
-                        .faults
-                        .on_step(thread, task.steps + 1, &shared.queues);
-                }
-                1
+                let room = stage.io.faults.hook(thread, task.steps + 1, &shared.queues);
+                task.budget.min(room)
             } else {
                 task.budget
             };
@@ -1156,10 +1061,8 @@ fn run_slice(shared: &Shared, task: &mut StageTask, peers: Peers<'_>) -> SliceEn
     SliceEnd::Done(StageEnd::Terminated)
 }
 
-/// A pool worker's job for stage `t`: claims the task and runs it to its
-/// end, on this thread alone. `None` if the offer was withdrawn first.
-fn claim_and_run(shared: &Shared, t: usize) -> Option<(usize, StageReport)> {
-    let mut task = shared.offers[t].claim()?;
+/// Runs a task a pool worker was handed to its end, on this thread alone.
+pub(crate) fn run_claimed(shared: &Shared, mut task: Box<StageTask>) -> StageReport {
     task.claimed_at = Some(task.steps);
     task.run_now();
     let end = loop {
@@ -1167,7 +1070,7 @@ fn claim_and_run(shared: &Shared, t: usize) -> Option<(usize, StageReport)> {
             break end;
         }
     };
-    Some((t, task.end(shared, end)))
+    task.end(shared, end)
 }
 
 /// Runs every stage of the run and returns their reports, indexed by
@@ -1177,31 +1080,31 @@ fn claim_and_run(shared: &Shared, t: usize) -> Option<(usize, StageReport)> {
 /// them round-robin, switching when a queue operation stops and at every
 /// `STEP_BATCH` refill, as the functional executor does. When one of its
 /// tasks first spends a whole budget, it offers the pool every stage 1..
-/// it still holds. A worker that starts for an offer asks for its task,
+/// it still holds. A worker that wakes for an offer asks for its task,
 /// and the calling thread hands the task over at its next slice boundary.
-/// When the run ends, an offer no worker has taken is withdrawn: the caller
-/// waits only for the workers that started. (Offering at run start instead
-/// made `perfbench` jobs 29% slower; see EXPERIMENTS.md.)
+/// An offer whose task ends on the calling thread, or that is still open
+/// when the run ends, is taken back: the caller waits only for the stages
+/// it handed over. (Offering at run start instead made `perfbench` jobs 29%
+/// slower; see EXPERIMENTS.md.)
 pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
     let n = shared.entries.len();
     let mut local: Vec<StageTask> = (0..n).map(|t| StageTask::new(shared, t)).collect();
     let mut reports: Vec<Option<StageReport>> = (0..n).map(|_| None).collect();
-    let (tx, rx) = mpsc::channel();
-    // The pool jobs of the offered stages.
-    let mut tickets: Vec<(usize, pool::Ticket)> = Vec::new();
-    let mut offered = false;
+    // Each stage's open offer, indexed by hardware context; empty until
+    // the first budget refill.
+    let mut offers: Vec<Option<pool::Offer>> = Vec::new();
     let mut handed = 0usize;
     let mut cursor = 0usize;
     while !local.is_empty() {
-        if offered {
+        if !offers.is_empty() {
             let mut k = 0;
             while k < local.len() {
-                let t = local[k].io.thread;
-                if t != 0 && shared.offers[t].wanted.load(Ordering::Relaxed) {
-                    shared.offers[t].hand(local.remove(k));
-                    handed += 1;
-                } else {
-                    k += 1;
+                match &offers[local[k].io.thread] {
+                    Some(offer) if offer.wanted() => {
+                        offer.hand(local.remove(k));
+                        handed += 1;
+                    }
+                    _ => k += 1,
                 }
             }
             if local.is_empty() {
@@ -1232,12 +1135,10 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
         };
         match slice(shared, task, peers) {
             SliceEnd::Budget => {
-                if !offered {
-                    offered = true;
+                if offers.is_empty() {
+                    offers.resize_with(n, || None);
                     for t in local.iter().map(|task| task.io.thread).filter(|&t| t != 0) {
-                        let shared = Arc::clone(shared);
-                        let job = move || claim_and_run(&shared, t);
-                        tickets.push((t, pool::execute(job, tx.clone())));
+                        offers[t] = Some(pool::offer(shared));
                     }
                 }
                 cursor = i + 1;
@@ -1249,8 +1150,8 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
             SliceEnd::Done(end) => {
                 let task = local.remove(i);
                 let t = task.io.thread;
-                if offered {
-                    shared.offers[t].withdraw();
+                if let Some(offer) = offers.get_mut(t).and_then(Option::take) {
+                    offer.finish();
                 }
                 reports[t] = Some(task.end(shared, end));
                 // A Park verdict ends every stopped task of the run.
@@ -1264,15 +1165,8 @@ pub(crate) fn run_stages(shared: &Arc<Shared>) -> Vec<StageReport> {
             }
         }
     }
-    drop(tx);
-    let mut started = 0;
-    for (t, ticket) in tickets {
-        if shared.offers[t].withdraw() || !ticket.withdraw() {
-            started += 1;
-        }
-    }
-    for _ in 0..started {
-        if let Some((t, report)) = rx.recv().expect("a pool stage ended without reporting") {
+    for (t, offer) in offers.into_iter().enumerate() {
+        if let Some(report) = offer.and_then(pool::Offer::finish) {
             reports[t] = Some(report);
         }
     }

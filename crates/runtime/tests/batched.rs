@@ -215,15 +215,7 @@ fn batched_full_queue_nobody_drains_is_deadlock() {
 fn batched_histograms_reflect_chunking() {
     let p = ping_pong(2_000);
     let r = run_native(&p, RtConfig::default().batch(8)).unwrap();
-    // Stage 0 pushes 2001 values through the data queue in chunks of 8;
-    // most are delivered by blocking flushes (a few may ride the cadence
-    // side-flush instead, which records at queue level only).
-    assert!(r.stages[0].flushes.count > 0);
-    assert!(
-        r.stages[0].flushes.mean() > 1.0,
-        "{:?}",
-        r.stages[0].flushes
-    );
+    // Stage 0 pushes 2001 values through the data queue in chunks of 8.
     // Queue-level accounting is exact: every produced value crossed each
     // queue in exactly one publish and one acquire.
     assert_eq!(

@@ -1,11 +1,11 @@
 //! A warm stage-worker pool starts no OS thread.
 //!
-//! `Runtime::run` offers stages 1.. to a process-wide pool. A worker that
-//! took an offer goes back on the idle list before it reports, and the
-//! caller takes back an offer no worker took, so a caller's next run finds
-//! the workers idle. This check counts the process's threads, so it lives alone
-//! in its test binary: any other test running beside it would start
-//! threads of its own.
+//! `Runtime::run` offers stages 1.. to a process-wide pool. The caller puts
+//! each worker back on the idle list as it takes the report of a stage it
+//! handed over, or takes back an offer it never handed over, so a caller's
+//! next run finds the workers idle. This check counts the process's
+//! threads, so it lives alone in its test binary: any other test running
+//! beside it would start threads of its own.
 
 mod support;
 
