@@ -14,7 +14,7 @@ use crate::dom::DomTree;
 use crate::graph::Graph;
 
 /// A natural loop of a function.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NaturalLoop {
     /// The loop header block.
     pub header: BlockId,

@@ -28,11 +28,11 @@
 //! sorted and deduplicated once, and the conditional-control closure is a
 //! semi-naive fixpoint over bit matrices (see `cond_control_closure`).
 
-use dswp_ir::{Function, InstrId, Reg};
+use dswp_ir::{BlockId, Function, InstrId, Reg};
 
 use crate::alias::{alias_query, AliasMode, AliasResult};
 use crate::bits::{self, BitMatrix};
-use crate::cdg::loop_control_deps;
+use crate::cdg::{loop_control_deps, LoopControlDep};
 use crate::dataflow::{loop_dataflow, Liveness, LoopDataFlow};
 use crate::graph::Graph;
 use crate::loops::NaturalLoop;
@@ -95,9 +95,14 @@ pub struct Pdg {
     /// Node of each instruction, indexed by `InstrId` (`NO_NODE` for
     /// instructions outside the loop).
     instr_index: Vec<u32>,
+    /// Block of each instruction node.
+    blocks: Vec<BlockId>,
     /// The register dataflow facts the graph was built from (needed again
     /// by flow insertion).
     pub dataflow: LoopDataFlow,
+    /// The block-level control dependences the graph was built from
+    /// (needed again by code splitting).
+    pub control: Vec<LoopControlDep>,
 }
 
 impl Pdg {
@@ -123,6 +128,11 @@ impl Pdg {
             Some(&n) if n != NO_NODE => Some(n as usize),
             _ => None,
         }
+    }
+
+    /// The block holding instruction node `node`.
+    pub fn block_of(&self, node: usize) -> BlockId {
+        self.blocks[node]
     }
 
     /// The instruction of a node, if it is an instruction node.
@@ -172,6 +182,7 @@ pub fn build_pdg(f: &Function, l: &NaturalLoop, liveness: &Liveness, opts: &PdgO
     // live-outs (each in register order) ----
     let mut nodes = Vec::new();
     let mut instr_index = vec![NO_NODE; f.num_instr_slots()];
+    let mut blocks = Vec::new();
     let mut accesses = Vec::new();
     for (k, &b) in l.blocks.iter().enumerate() {
         for (pos, &i) in f.block(b).instrs().iter().enumerate() {
@@ -185,6 +196,7 @@ pub fn build_pdg(f: &Function, l: &NaturalLoop, liveness: &Liveness, opts: &PdgO
             }
             instr_index[i.index()] = nodes.len() as u32;
             nodes.push(PdgNode::Instr(i));
+            blocks.push(b);
         }
     }
     let num_instr_nodes = nodes.len();
@@ -223,7 +235,8 @@ pub fn build_pdg(f: &Function, l: &NaturalLoop, liveness: &Liveness, opts: &PdgO
     }
 
     // ---- control dependences (standard + loop-iteration) ----
-    for dep in &loop_control_deps(f, l) {
+    let control = loop_control_deps(f, l);
+    for dep in &control {
         let branch = *f
             .block(dep.branch_block)
             .instrs()
@@ -293,7 +306,9 @@ pub fn build_pdg(f: &Function, l: &NaturalLoop, liveness: &Liveness, opts: &PdgO
         arcs,
         num_instr_nodes,
         instr_index,
+        blocks,
         dataflow: df,
+        control,
     }
 }
 

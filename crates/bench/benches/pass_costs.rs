@@ -71,10 +71,8 @@ fn bench_passes() {
     });
 
     let costs = scc_costs(
-        f,
-        main,
-        &analysis.pdg,
-        &analysis.dag,
+        &analysis.normalized,
+        &analysis,
         &profile,
         &LatencyTable::default(),
     );

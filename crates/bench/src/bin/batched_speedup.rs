@@ -27,17 +27,15 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dswp_bench::json;
-use dswp_bench::runner::{geomean, profile, transform_auto, Experiment};
+use dswp_bench::runner::{
+    below_baseline, best_native_time, geomean, profile, queue_cap, transform_auto, Experiment,
+};
 use dswp_ir::{Program, ProgramBuilder, QueueId};
-use dswp_rt::{RtConfig, Runtime};
+use dswp_rt::RtConfig;
 use dswp_workloads::{paper_suite, Size};
 
 const REPS: usize = 5;
 const BATCHES: [usize; 4] = [1, 4, 16, 64];
-
-/// Tolerated throughput loss vs. the committed baseline before `--check`
-/// fails the run.
-const REGRESSION_TOLERANCE: f64 = 0.10;
 
 /// Re-measurements granted to keys that miss the baseline before the
 /// check fails for real.
@@ -116,21 +114,6 @@ fn queue_stream(n: i64) -> Case {
     }
 }
 
-/// Best-of-`REPS` wall-clock time; every repetition is checked against the
-/// expected memory image so a miscompiled batch path can't "win".
-fn timed(case: &Case, cfg: &RtConfig) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let r = Runtime::new(&case.program)
-            .with_config(cfg.clone())
-            .run()
-            .unwrap_or_else(|e| panic!("{}: native run failed: {e}", case.name));
-        assert_eq!(r.memory, case.expect, "{}: diverged", case.name);
-        best = best.min(r.elapsed);
-    }
-    best
-}
-
 fn cases(size: Size) -> Vec<Case> {
     let stream_len = match size {
         Size::Test => 20_000,
@@ -154,26 +137,6 @@ fn cases(size: Size) -> Vec<Case> {
     out
 }
 
-/// Compares this run's ratios against a committed baseline; returns the
-/// regression messages (empty = gate passes).
-fn check_against(baseline: &[(String, f64)], current: &[(String, f64)]) -> Vec<String> {
-    let mut problems = Vec::new();
-    for (key, base) in baseline {
-        match current.iter().find(|(k, _)| k == key) {
-            None => problems.push(format!("{key}: present in baseline but not measured")),
-            Some((_, cur)) => {
-                let floor = base * (1.0 - REGRESSION_TOLERANCE);
-                if *cur < floor {
-                    problems.push(format!(
-                        "{key}: ratio {cur:.3} regressed more than 10% below baseline {base:.3}"
-                    ));
-                }
-            }
-        }
-    }
-    problems
-}
-
 fn main() -> ExitCode {
     let mut out_path = String::from("BENCH_batched.json");
     let mut check_path: Option<String> = None;
@@ -194,10 +157,7 @@ fn main() -> ExitCode {
     }
 
     let exp = Experiment::from_env();
-    let cap = std::env::var("DSWP_QUEUE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
+    let cap = queue_cap();
     let cases = cases(exp.size);
     let mut pairs = sweep(&cases, cap);
     let mut gate_failed = false;
@@ -228,7 +188,7 @@ fn main() -> ExitCode {
         // each key's score is its best across attempts. One unlucky
         // scheduler quantum must not fail CI; a real regression fails
         // every attempt.
-        let mut problems = check_against(&baseline, &pairs);
+        let mut problems = below_baseline(&baseline, &pairs);
         for retry in 0..CHECK_RETRIES {
             if problems.is_empty() {
                 break;
@@ -243,7 +203,7 @@ fn main() -> ExitCode {
                     *best = best.max(v);
                 }
             }
-            problems = check_against(&baseline, &pairs);
+            problems = below_baseline(&baseline, &pairs);
         }
         if problems.is_empty() {
             println!("baseline check passed ({path}, {} keys)", baseline.len());
@@ -302,7 +262,10 @@ fn sweep(cases: &[Case], cap: usize) -> Vec<(String, f64)> {
     for case in cases {
         let times: Vec<Duration> = BATCHES
             .iter()
-            .map(|&b| timed(case, &RtConfig::default().queue_capacity(cap).batch(b)))
+            .map(|&b| {
+                let cfg = RtConfig::default().queue_capacity(cap).batch(b);
+                best_native_time(&case.name, &case.program, &case.expect, &cfg, REPS)
+            })
             .collect();
         let base = times[0].as_secs_f64();
         let ratios: Vec<f64> = times.iter().map(|t| base / t.as_secs_f64()).collect();

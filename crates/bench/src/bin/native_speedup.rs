@@ -17,29 +17,13 @@
 //! `--out FILE` additionally writes the per-workload speedups (and their
 //! geomean) as flat JSON, for CI artifact archiving.
 
-use std::time::Duration;
-
-use dswp_bench::runner::{geomean, profile, transform_auto, Experiment};
-use dswp_ir::Program;
-use dswp_rt::{RtConfig, Runtime};
+use dswp_bench::runner::{
+    best_native_time, geomean, profile, queue_cap, transform_auto, Experiment,
+};
+use dswp_rt::RtConfig;
 use dswp_workloads::paper_suite;
 
 const REPS: usize = 3;
-
-/// Best-of-`REPS` native wall-clock time; also sanity-checks the memory
-/// image against `expect` on every repetition.
-fn native_time(program: &Program, cfg: &RtConfig, expect: &[i64]) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let r = Runtime::new(program)
-            .with_config(cfg.clone())
-            .run()
-            .unwrap_or_else(|e| panic!("native run failed: {e}"));
-        assert_eq!(r.memory, expect, "native run diverged from baseline");
-        best = best.min(r.elapsed);
-    }
-    best
-}
 
 fn main() {
     let mut out_path: Option<String> = None;
@@ -54,10 +38,7 @@ fn main() {
         }
     }
     let exp = Experiment::from_env();
-    let cap = std::env::var("DSWP_QUEUE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
+    let cap = queue_cap();
     let cfg = RtConfig::default().queue_capacity(cap);
 
     println!("native wall-clock speedup (queue capacity {cap}, best of {REPS})");
@@ -82,8 +63,8 @@ fn main() {
             .run()
             .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", w.name));
 
-        let seq = native_time(&w.program, &cfg, &oracle.memory);
-        let pipe = native_time(&transformed, &cfg, &oracle.memory);
+        let seq = best_native_time(w.name, &w.program, &oracle.memory, &cfg, REPS);
+        let pipe = best_native_time(w.name, &transformed, &oracle.memory, &cfg, REPS);
         let speedup = seq.as_secs_f64() / pipe.as_secs_f64();
         speedups.push(speedup);
         pairs.push((w.name.to_string(), speedup));

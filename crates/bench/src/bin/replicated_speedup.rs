@@ -44,11 +44,11 @@ use std::time::Duration;
 use dswp::{annotate_loop_affine, dswp_loop, DswpError, DswpOptions, PipelineMap, Replicate};
 use dswp_analysis::AliasMode;
 use dswp_bench::json;
-use dswp_bench::runner::{geomean, Experiment};
+use dswp_bench::runner::{below_baseline, best_native_time, geomean, queue_cap, Experiment};
 use dswp_ir::interp::Interpreter;
 use dswp_ir::Program;
 use dswp_rt::fault::DelayFault;
-use dswp_rt::{FaultPlan, RtConfig, Runtime};
+use dswp_rt::{FaultPlan, RtConfig};
 use dswp_workloads::{paper_suite, Size, Workload};
 
 const REPS: usize = 5;
@@ -66,7 +66,6 @@ const SENTINEL_FLOOR: f64 = 1.3;
 /// of each group in the skewed-cost section.
 const SKEW_SPINS: u32 = 400;
 
-const REGRESSION_TOLERANCE: f64 = 0.10;
 const CHECK_RETRIES: usize = 2;
 
 struct Case {
@@ -144,21 +143,6 @@ fn cases(size: Size) -> Vec<Case> {
     out
 }
 
-/// Best-of-`REPS` wall-clock time; every repetition is checked against the
-/// sequential interpreter's memory image.
-fn timed(name: &str, program: &Program, expect: &[i64], cfg: &RtConfig) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..REPS {
-        let r = Runtime::new(program)
-            .with_config(cfg.clone())
-            .run()
-            .unwrap_or_else(|e| panic!("{name}: native run failed: {e}"));
-        assert_eq!(r.memory, expect, "{name}: diverged from the interpreter");
-        best = best.min(r.elapsed);
-    }
-    best
-}
-
 /// One full sweep: prints the table and returns the gated
 /// `replicated/<workload>/r<N>` ratio pairs plus per-count geomeans.
 fn sweep(cases: &[Case], cap: usize) -> Vec<(String, f64)> {
@@ -176,7 +160,10 @@ fn sweep(cases: &[Case], cap: usize) -> Vec<(String, f64)> {
         let times: Vec<Option<Duration>> = case
             .programs
             .iter()
-            .map(|p| p.as_ref().map(|p| timed(&case.name, p, &case.expect, &cfg)))
+            .map(|p| {
+                p.as_ref()
+                    .map(|p| best_native_time(&case.name, p, &case.expect, &cfg, REPS))
+            })
             .collect();
         let base = times[0].expect("replica count 1 always runs").as_secs_f64();
         let ms = |t: &Option<Duration>| match t {
@@ -250,8 +237,9 @@ fn skew_sweep(size: Size, cap: usize) {
             );
         }
         let cfg = RtConfig::default().queue_capacity(cap).batch(BATCH);
-        let t_even = timed(&format!("{} even", w.name), &p, &expect, &cfg);
-        let t_skew = timed(&format!("{} skew", w.name), &p, &expect, &cfg.faults(plan));
+        let t_even = best_native_time(&format!("{} even", w.name), &p, &expect, &cfg, REPS);
+        let skewed = cfg.faults(plan);
+        let t_skew = best_native_time(&format!("{} skew", w.name), &p, &expect, &skewed, REPS);
         println!(
             "{:<14} {:>12.3} {:>12.3} {:>9.2}x",
             w.name,
@@ -271,20 +259,7 @@ fn check_against(
     current: &[(String, f64)],
     cores: usize,
 ) -> Vec<String> {
-    let mut problems = Vec::new();
-    for (key, base) in baseline {
-        match current.iter().find(|(k, _)| k == key) {
-            None => problems.push(format!("{key}: present in baseline but not measured")),
-            Some((_, cur)) => {
-                let floor = base * (1.0 - REGRESSION_TOLERANCE);
-                if *cur < floor {
-                    problems.push(format!(
-                        "{key}: ratio {cur:.3} regressed more than 10% below baseline {base:.3}"
-                    ));
-                }
-            }
-        }
-    }
+    let mut problems = below_baseline(baseline, current);
     if cores >= 4 {
         let best = SENTINELS
             .iter()
@@ -328,10 +303,7 @@ fn main() -> ExitCode {
     }
 
     let exp = Experiment::from_env();
-    let cap = std::env::var("DSWP_QUEUE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
+    let cap = queue_cap();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let cases = cases(exp.size);
     let mut pairs = sweep(&cases, cap);

@@ -1,12 +1,19 @@
-//! Experiment machinery shared by the `paper_results` harness and the
-//! per-figure binaries.
+//! Experiment machinery shared by the `paper_results` harness, the
+//! per-figure binaries and the native benchmark gates.
+
+use std::time::Duration;
 
 use dswp::{analyze_loop, dswp_loop, DswpError, DswpOptions, DswpReport, Partitioning};
 use dswp_analysis::AliasMode;
 use dswp_ir::interp::{Interpreter, Profile};
 use dswp_ir::Program;
+use dswp_rt::{RtConfig, Runtime};
 use dswp_sim::{Machine, MachineConfig, SimResult};
 use dswp_workloads::{Size, Workload};
+
+/// Ratio loss below the committed baseline that a native gate tolerates
+/// before it fails a key.
+pub const REGRESSION_TOLERANCE: f64 = 0.10;
 
 /// Experiment-wide configuration.
 #[derive(Clone, Debug)]
@@ -181,6 +188,59 @@ impl BenchRun {
     }
 }
 
+/// Queue capacity of the native benchmarks: `DSWP_QUEUE_CAP`, default 32.
+pub fn queue_cap() -> usize {
+    std::env::var("DSWP_QUEUE_CAP")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(32)
+}
+
+/// Best-of-`reps` native wall-clock time of `program` under `cfg`. Every
+/// repetition's memory image must equal `expect`, so a broken run can
+/// never "win"; `name` labels the panic when it does not.
+pub fn best_native_time(
+    name: &str,
+    program: &Program,
+    expect: &[i64],
+    cfg: &RtConfig,
+    reps: usize,
+) -> Duration {
+    let mut best = Duration::MAX;
+    for _ in 0..reps {
+        let r = Runtime::new(program)
+            .with_config(cfg.clone())
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: native run failed: {e}"));
+        assert_eq!(
+            r.memory, expect,
+            "{name}: diverged from the expected memory"
+        );
+        best = best.min(r.elapsed);
+    }
+    best
+}
+
+/// The keys of `baseline` whose ratio in `current` is missing or more than
+/// [`REGRESSION_TOLERANCE`] below the baseline, as messages (empty = the
+/// gate passes).
+pub fn below_baseline(baseline: &[(String, f64)], current: &[(String, f64)]) -> Vec<String> {
+    let mut problems = Vec::new();
+    for (key, base) in baseline {
+        match current.iter().find(|(k, _)| k == key) {
+            None => problems.push(format!("{key}: present in baseline but not measured")),
+            Some((_, cur)) => {
+                if *cur < base * (1.0 - REGRESSION_TOLERANCE) {
+                    problems.push(format!(
+                        "{key}: ratio {cur:.3} regressed more than 10% below baseline {base:.3}"
+                    ));
+                }
+            }
+        }
+    }
+    problems
+}
+
 /// Geometric mean.
 pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
     let (mut log_sum, mut n) = (0.0f64, 0usize);
@@ -213,6 +273,17 @@ pub fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
 mod tests {
     use super::*;
     use dswp_workloads::mcf;
+
+    #[test]
+    fn below_baseline_flags_missing_and_regressed_keys() {
+        let key = |k: &str, v: f64| (k.to_string(), v);
+        let baseline = [key("a", 1.0), key("b", 2.0), key("c", 1.0)];
+        let current = [key("a", 0.91), key("b", 1.79)];
+        let problems = below_baseline(&baseline, &current);
+        assert_eq!(problems.len(), 2, "{problems:?}");
+        assert!(problems[0].starts_with("b: ratio 1.790"));
+        assert!(problems[1].starts_with("c: present in baseline"));
+    }
 
     #[test]
     fn geomean_and_mean() {

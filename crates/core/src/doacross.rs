@@ -26,10 +26,11 @@ use std::collections::BTreeSet;
 use dswp_ir::program::TERMINATE_SENTINEL;
 use dswp_ir::{BlockId, FuncId, Function, Op, Operand, Program, Reg};
 
-use dswp_analysis::{find_loops, loop_dataflow, Liveness};
+use dswp_analysis::{loop_dataflow, Liveness};
 
 use crate::error::DswpError;
 use crate::normalize::normalize_loop;
+use crate::pipeline::find_loop;
 
 /// The result of a successful DOACROSS transformation.
 #[derive(Clone, Debug)]
@@ -57,15 +58,8 @@ pub fn doacross(
     func: FuncId,
     header: BlockId,
 ) -> Result<DoacrossReport, DswpError> {
-    let l = find_loops(program.function(func))
-        .into_iter()
-        .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
-    let norm = normalize_loop(program.function_mut(func), &l)?;
-    let l = find_loops(program.function(func))
-        .into_iter()
-        .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
+    let l = find_loop(program.function(func), header)?;
+    let (norm, l) = normalize_loop(program.function_mut(func), &l)?;
 
     let src = program.function(func).clone();
     let pre_existing_funcs = program.functions().len();

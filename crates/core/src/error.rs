@@ -13,9 +13,9 @@ pub enum DswpError {
     /// The partitioner found no profitable multi-thread partitioning
     /// (Figure 3 line 6).
     NotProfitable,
-    /// The loop's exit edges target more than one outside block; this
-    /// implementation requires a single exit target (workloads are built in
-    /// this shape; see DESIGN.md).
+    /// The loop's exit edges target more than one outside block, or none;
+    /// this implementation requires a single exit target (workloads are
+    /// built in this shape; see DESIGN.md).
     MultipleExitTargets(Vec<BlockId>),
     /// The requested partition is not valid per Definition 1.
     InvalidPartition(String),
@@ -49,6 +49,9 @@ impl fmt::Display for DswpError {
             }
             DswpError::NotProfitable => {
                 write!(f, "no profitable multi-thread partitioning was found")
+            }
+            DswpError::MultipleExitTargets(t) if t.is_empty() => {
+                write!(f, "loop has no exit; a single exit target is required")
             }
             DswpError::MultipleExitTargets(t) => {
                 write!(

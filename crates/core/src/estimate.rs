@@ -4,16 +4,18 @@
 //! instruction latency and its execution profile weight"; the profitability
 //! gate additionally prices the `produce`/`consume` instructions a
 //! partitioning would insert. This module computes those estimates from the
-//! interpreter-collected [`Profile`].
+//! interpreter-collected [`Profile`] and the loop's [`AnalyzedLoop`]: each
+//! instruction node's block comes from its PDG, and the driver computes a
+//! partitioning's stage times once for both the profitability gate and the
+//! replication plan.
 
 use std::collections::BTreeSet;
 
 use dswp_ir::interp::Profile;
-use dswp_ir::{FuncId, Function, LatencyTable};
-
-use dswp_analysis::{DagScc, Pdg};
+use dswp_ir::{LatencyTable, Program};
 
 use crate::partition::Partitioning;
+use crate::pipeline::AnalyzedLoop;
 
 /// Per-SCC and total estimated cycles of a loop's `DAG_SCC`.
 #[derive(Clone, Debug)]
@@ -25,21 +27,19 @@ pub struct SccCosts {
 }
 
 /// Computes SCC costs: `Σ latency(op) × profile_weight(block(op))` per SCC.
+/// `program` is the program `a` was analysed on.
 pub fn scc_costs(
-    f: &Function,
-    fid: FuncId,
-    pdg: &Pdg,
-    dag: &DagScc,
+    program: &Program,
+    a: &AnalyzedLoop,
     profile: &Profile,
     latency: &LatencyTable,
 ) -> SccCosts {
-    let block_of = f.instr_blocks();
-    let mut cycles = vec![0.0; dag.len()];
-    for (ci, comp) in dag.sccs.iter().enumerate() {
+    let f = program.function(a.func);
+    let mut cycles = vec![0.0; a.dag.len()];
+    for (ci, comp) in a.dag.sccs.iter().enumerate() {
         for &node in comp {
-            let instr = pdg.instr_of(node).expect("scc node is an instruction");
-            let block = block_of[instr.index()].expect("loop instruction has a block");
-            let w = profile.weight(fid, block) as f64;
+            let instr = a.pdg.instr_of(node).expect("scc node is an instruction");
+            let w = profile.weight(a.func, a.pdg.block_of(node)) as f64;
             cycles[ci] += latency.op(f.op(instr)) as f64 * w;
         }
     }
@@ -54,39 +54,33 @@ pub fn scc_costs(
 /// `(source instruction, destination thread)` pair, priced at
 /// `queue_cost × profile_weight(source block)` on both the producing and the
 /// consuming stage.
-#[allow(clippy::too_many_arguments)] // mirrors the analysis products a caller already holds
 pub fn stage_times(
-    f: &Function,
-    fid: FuncId,
-    pdg: &Pdg,
-    dag: &DagScc,
+    a: &AnalyzedLoop,
     partitioning: &Partitioning,
     costs: &SccCosts,
     profile: &Profile,
     queue_cost: u64,
 ) -> Vec<f64> {
+    let (pdg, dag) = (&a.pdg, &a.dag);
     let n = partitioning.num_threads;
     let mut times = vec![0.0; n];
     for (ci, &c) in costs.cycles.iter().enumerate() {
         times[partitioning.assignment[ci]] += c;
     }
 
-    let block_of = f.instr_blocks();
     let mut flows: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for a in pdg.arcs() {
-        if a.src >= pdg.num_instr_nodes() || a.dst >= pdg.num_instr_nodes() {
+    for arc in pdg.arcs() {
+        if arc.src >= pdg.num_instr_nodes() || arc.dst >= pdg.num_instr_nodes() {
             continue; // initial/final flows execute once per invocation
         }
-        let ts = partitioning.assignment[dag.node_scc[a.src]];
-        let td = partitioning.assignment[dag.node_scc[a.dst]];
+        let ts = partitioning.assignment[dag.node_scc[arc.src]];
+        let td = partitioning.assignment[dag.node_scc[arc.dst]];
         if ts != td {
-            flows.insert((a.src, td));
+            flows.insert((arc.src, td));
         }
     }
     for &(src, td) in &flows {
-        let instr = pdg.instr_of(src).expect("flow source is an instruction");
-        let block = block_of[instr.index()].expect("loop instruction has a block");
-        let w = profile.weight(fid, block) as f64 * queue_cost as f64;
+        let w = profile.weight(a.func, pdg.block_of(src)) as f64 * queue_cost as f64;
         let ts = partitioning.assignment[dag.node_scc[src]];
         times[ts] += w; // produce
         times[td] += w; // consume
@@ -94,45 +88,14 @@ pub fn stage_times(
     times
 }
 
-/// Estimated speedup of `partitioning` over single-threaded execution
-/// (`total / max stage time`).
-#[allow(clippy::too_many_arguments)] // same signature as `stage_times`
-pub fn estimated_speedup(
-    f: &Function,
-    fid: FuncId,
-    pdg: &Pdg,
-    dag: &DagScc,
-    partitioning: &Partitioning,
-    costs: &SccCosts,
-    profile: &Profile,
-    queue_cost: u64,
-) -> f64 {
-    let times = stage_times(f, fid, pdg, dag, partitioning, costs, profile, queue_cost);
+/// Estimated speedup of a partitioning with stage times `times` over
+/// single-threaded execution (`total / max stage time`).
+pub fn estimated_speedup(costs: &SccCosts, times: &[f64]) -> f64 {
     let bottleneck = times.iter().copied().fold(0.0f64, f64::max);
     if bottleneck <= 0.0 {
         return 1.0;
     }
     costs.total / bottleneck
-}
-
-/// Predicted pipeline bottleneck (slowest effective stage time) after
-/// applying a replication `plan` of `(stage, replicas)` pairs: a stage
-/// granted `k` replicas contributes `times[stage] / k`, everything else
-/// contributes its raw time. This is the quantity the `--replicate auto`
-/// water-filling (`replica_plans` in [`crate::replicate`]) minimizes.
-pub fn replicated_bottleneck(stage_times: &[f64], plan: &[(usize, usize)]) -> f64 {
-    stage_times
-        .iter()
-        .enumerate()
-        .map(|(t, &time)| {
-            let k = plan
-                .iter()
-                .find(|&&(s, _)| s == t)
-                .map(|&(_, k)| k.max(1))
-                .unwrap_or(1);
-            time / k as f64
-        })
-        .fold(0.0_f64, f64::max)
 }
 
 #[cfg(test)]
@@ -141,7 +104,7 @@ mod tests {
     // `crate::partition` and the pipeline tests; unit-level checks here
     // cover the flow-counting rule.
     use super::*;
-    use dswp_analysis::{build_pdg, find_loops, DagScc, Liveness, PdgOptions};
+    use dswp_analysis::AliasMode;
     use dswp_ir::interp::Interpreter;
     use dswp_ir::ProgramBuilder;
 
@@ -171,17 +134,13 @@ mod tests {
         f.store(x, base, 0);
         f.halt();
         let main = f.finish();
-        let p = pb.finish(main, 1);
+        let mut p = pb.finish(main, 1);
         let run = Interpreter::new(&p).run().unwrap();
 
-        let func = p.function(main);
-        let liveness = Liveness::compute(func);
-        let l = &find_loops(func)[0];
-        let pdg = build_pdg(func, l, &liveness, &PdgOptions::default());
-        let dag = DagScc::compute(&pdg.instr_graph());
+        let a = AnalyzedLoop::new(&mut p, main, header, AliasMode::default()).unwrap();
         let lat = LatencyTable::default();
-        let costs = scc_costs(func, main, &pdg, &dag, &run.profile, &lat);
-        assert_eq!(costs.cycles.len(), dag.len());
+        let costs = scc_costs(&p, &a, &run.profile, &lat);
+        assert_eq!(costs.cycles.len(), a.dag.len());
         assert!(costs.total > 0.0);
         // The mul alone contributes 3 * 10 = 30 cycles; the total must
         // exceed that.

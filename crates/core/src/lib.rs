@@ -93,17 +93,17 @@ pub mod unroll;
 pub use cleanup::{merge_blocks, merge_blocks_program, MergeStats};
 pub use doacross::{doacross, DoacrossReport};
 pub use error::DswpError;
-pub use estimate::{estimated_speedup, replicated_bottleneck, scc_costs, stage_times, SccCosts};
+pub use estimate::{scc_costs, SccCosts};
 pub use normalize::{normalize_loop, NormalizedLoop};
 pub use partition::{enumerate_two_thread, tpp_heuristic, Partitioning, TppOptions};
 pub use pipeline::{
-    analyze_loop, annotate_loop_affine, dswp_loop, loop_stats, select_loop, DswpOptions,
-    DswpReport, LoopAnalysis, LoopStats,
+    analyze_loop, annotate_loop_affine, dswp_loop, loop_stats, select_loop, AnalyzedLoop,
+    DswpOptions, DswpReport, LoopAnalysis, LoopStats,
 };
-pub use replicate::{replicable_stages, replicate_stage, Replicate, ReplicationInfo};
+pub use replicate::{Replicate, ReplicationInfo};
 pub use schedule::{schedule_function, schedule_program, ScheduleStats};
 pub use stage_map::{
     PipelineMap, PipelineMapError, QueueEndpoints, QueueKind, ReplicaGroup, StageInfo, StageRole,
 };
-pub use transform::{apply_dswp, DswpArtifacts, FlowStats};
+pub use transform::{DswpArtifacts, FlowStats};
 pub use unroll::{unroll_counted, unroll_loop};

@@ -9,8 +9,13 @@
 //! * a dedicated **exit landing** block — a block all exit edges are
 //!   retargeted to, which jumps to the original (single) exit target.
 //!
-//! Loops whose exit edges lead to more than one outside block are rejected
-//! ([`DswpError::MultipleExitTargets`]).
+//! Neither new block joins the loop, so [`normalize_loop`] also returns the
+//! normalized loop itself instead of leaving the caller to rediscover it:
+//! its blocks, latches and depth are unchanged, and every exit edge now
+//! ends at the landing.
+//!
+//! Loops whose exit edges lead to more than one outside block, or to none,
+//! are rejected ([`DswpError::MultipleExitTargets`]).
 
 use dswp_ir::{BlockId, Function, Op};
 
@@ -32,16 +37,18 @@ pub struct NormalizedLoop {
     pub exit_target: BlockId,
 }
 
-/// Normalizes loop `l` of `f` in place.
-///
-/// After this call the CFG has changed; loop analyses must be recomputed
-/// before building the PDG.
+/// Normalizes loop `l` of `f` in place and returns the new shape together
+/// with the loop as [`find_loops`](dswp_analysis::find_loops) would now
+/// find it.
 ///
 /// # Errors
 ///
-/// Returns [`DswpError::MultipleExitTargets`] when the loop exits to more
-/// than one distinct outside block.
-pub fn normalize_loop(f: &mut Function, l: &NaturalLoop) -> Result<NormalizedLoop, DswpError> {
+/// Returns [`DswpError::MultipleExitTargets`] when the loop does not exit
+/// to exactly one outside block; `f` is then unchanged.
+pub fn normalize_loop(
+    f: &mut Function,
+    l: &NaturalLoop,
+) -> Result<(NormalizedLoop, NaturalLoop), DswpError> {
     let targets = l.exit_targets();
     let &[exit_target] = targets.as_slice() else {
         return Err(DswpError::MultipleExitTargets(targets));
@@ -83,12 +90,19 @@ pub fn normalize_loop(f: &mut Function, l: &NaturalLoop) -> Result<NormalizedLoo
             .map_successors(|t| if t == exit_target { landing } else { t });
     }
 
-    Ok(NormalizedLoop {
-        header: l.header,
-        preheader,
-        landing,
-        exit_target,
-    })
+    let mut normalized = l.clone();
+    for edge in &mut normalized.exit_edges {
+        edge.1 = landing;
+    }
+    Ok((
+        NormalizedLoop {
+            header: l.header,
+            preheader,
+            landing,
+            exit_target,
+        },
+        normalized,
+    ))
 }
 
 #[cfg(test)]
@@ -131,7 +145,7 @@ mod tests {
         let before = Interpreter::new(&p).run().unwrap();
 
         let l = find_loops(p.function(main))[0].clone();
-        let norm = normalize_loop(p.function_mut(main), &l).unwrap();
+        let (norm, normalized) = normalize_loop(p.function_mut(main), &l).unwrap();
         verify_program(&p).unwrap();
 
         let after = Interpreter::new(&p).run().unwrap();
@@ -153,6 +167,7 @@ mod tests {
             .find(|x| x.header == norm.header)
             .expect("loop survives");
         assert_eq!(l2.exit_targets(), vec![norm.landing]);
+        assert_eq!(*l2, normalized);
     }
 
     #[test]
@@ -185,6 +200,28 @@ mod tests {
     }
 
     #[test]
+    fn a_loop_without_exit_is_rejected_as_such() {
+        // bb1 only jumps back to itself: the loop has no exit edge at all.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.function("main");
+        let e = f.entry_block();
+        let spin = f.block("spin");
+        let c = f.reg();
+        f.switch_to(e);
+        f.iconst(c, 0);
+        f.jump(spin);
+        f.switch_to(spin);
+        f.add(c, c, 1);
+        f.jump(spin);
+        let main = f.finish();
+        let mut p = pb.finish(main, 0);
+        let l = find_loops(p.function(main))[0].clone();
+        let err = normalize_loop(p.function_mut(main), &l).unwrap_err();
+        assert_eq!(err, DswpError::MultipleExitTargets(Vec::new()));
+        assert!(err.to_string().contains("no exit"), "{err}");
+    }
+
+    #[test]
     fn header_as_function_entry_is_handled() {
         // A loop whose header is the entry block: normalization must move
         // the entry to the preheader.
@@ -203,7 +240,7 @@ mod tests {
         let main = f.finish();
         let mut p = pb.finish(main, 0);
         let l = find_loops(p.function(main))[0].clone();
-        let norm = normalize_loop(p.function_mut(main), &l).unwrap();
+        let (norm, _) = normalize_loop(p.function_mut(main), &l).unwrap();
         assert_eq!(p.function(main).entry(), norm.preheader);
         verify_program(&p).unwrap();
         Interpreter::new(&p).run().unwrap();

@@ -11,14 +11,23 @@
 //!    bail out when not profitable (Figure 3 line 6);
 //! 5. split the code and insert flows ([`apply_dswp`]).
 //!
+//! Steps 1–3 produce one [`AnalyzedLoop`], computed once and passed whole
+//! to the cost, partition, split and replication steps, much as Noelle's
+//! DSWP hands every step one loop-dependence-info value.
+//! [`analyze_loop`] returns the same analysis on a normalized clone.
+//!
 //! [`select_loop`] picks the candidate the way Section 4 describes: the most
 //! important loop that iterates enough times per invocation.
 
+use std::ops::Deref;
+
 use dswp_ir::interp::Profile;
 use dswp_ir::verify::verify_program;
-use dswp_ir::{BlockId, FuncId, LatencyTable, Program};
+use dswp_ir::{BlockId, FuncId, Function, InstrId, LatencyTable, Program};
 
-use dswp_analysis::{build_pdg, find_loops, AliasMode, DagScc, Liveness, PdgOptions};
+use dswp_analysis::{
+    build_pdg, find_loops, AliasMode, DagScc, Liveness, NaturalLoop, Pdg, PdgOptions,
+};
 
 use crate::error::DswpError;
 use crate::estimate::{estimated_speedup, scc_costs, stage_times};
@@ -139,39 +148,92 @@ pub fn loop_stats(
     header: BlockId,
     alias: AliasMode,
 ) -> Result<LoopStats, DswpError> {
-    // Work on a clone: stats must not mutate the program.
-    let mut scratch = program.clone();
-    let Analyzed { dag, l, .. } = analyze(&mut scratch, func, header, alias)?;
-    let f = scratch.function(func);
-    let calls = l
-        .blocks
-        .iter()
-        .flat_map(|&b| f.block(b).instrs())
-        .filter(|&&i| f.op(i).is_barrier())
-        .count();
+    let a = analyze_loop(program, func, header, alias)?;
+    let f = a.normalized.function(func);
+    let calls = a.loop_instrs().filter(|&i| f.op(i).is_barrier()).count();
     Ok(LoopStats {
         header,
-        depth: l.depth,
-        blocks: l.blocks.len(),
-        instrs: l.blocks.iter().map(|&b| f.block(b).instrs().len()).sum(),
+        depth: a.loop_.depth,
+        blocks: a.loop_.blocks.len(),
+        instrs: a.pdg.num_instr_nodes(),
         calls,
-        sccs: dag.len(),
-        largest_scc: dag.sccs.iter().map(Vec::len).max().unwrap_or(0),
+        sccs: a.dag.len(),
+        largest_scc: a.dag.sccs.iter().map(Vec::len).max().unwrap_or(0),
     })
 }
 
-/// The analysis products of one candidate loop, computed on a normalized
-/// clone of the program (the input program is untouched).
+/// One candidate loop after normalization and dependence analysis: every
+/// fact the cost, partition, split and replication steps read, computed
+/// once on the program it was built from.
+#[derive(Clone, Debug)]
+pub struct AnalyzedLoop {
+    /// The function holding the loop.
+    pub(crate) func: FuncId,
+    /// The memory-analysis precision the PDG was built with.
+    pub(crate) alias: AliasMode,
+    /// The loop's preheader and exit landing.
+    pub(crate) norm: NormalizedLoop,
+    /// The natural loop, normalized.
+    pub loop_: NaturalLoop,
+    /// The loop's program dependence graph.
+    pub pdg: Pdg,
+    /// The coalesced `DAG_SCC`.
+    pub dag: DagScc,
+}
+
+impl AnalyzedLoop {
+    /// Verifies `program`, normalizes the loop with `header` in `func` in
+    /// place, and builds its PDG and `DAG_SCC`.
+    ///
+    /// # Errors
+    ///
+    /// [`DswpError::InvalidProgram`], [`DswpError::NoCandidateLoop`] or a
+    /// normalization error; `program` is unchanged then.
+    pub(crate) fn new(
+        program: &mut Program,
+        func: FuncId,
+        header: BlockId,
+        alias: AliasMode,
+    ) -> Result<Self, DswpError> {
+        check_program(program)?;
+        let l = find_loop(program.function(func), header)?;
+        let (norm, loop_) = normalize_loop(program.function_mut(func), &l)?;
+        let f = program.function(func);
+        let pdg = build_pdg(f, &loop_, &Liveness::compute(f), &PdgOptions { alias });
+        let dag = DagScc::compute(&pdg.instr_graph());
+        Ok(AnalyzedLoop {
+            func,
+            alias,
+            norm,
+            loop_,
+            pdg,
+            dag,
+        })
+    }
+
+    /// The loop's instructions, in PDG node order.
+    pub(crate) fn loop_instrs(&self) -> impl Iterator<Item = InstrId> + '_ {
+        (0..self.pdg.num_instr_nodes()).filter_map(|n| self.pdg.instr_of(n))
+    }
+}
+
+/// The analysis of one candidate loop on a normalized clone of the program
+/// (the input program is untouched). It reads as the [`AnalyzedLoop`] it
+/// holds.
 #[derive(Clone, Debug)]
 pub struct LoopAnalysis {
     /// Clone of the program with the loop normalized.
     pub normalized: Program,
-    /// The loop's program dependence graph.
-    pub pdg: dswp_analysis::Pdg,
-    /// The coalesced `DAG_SCC`.
-    pub dag: DagScc,
-    /// The (re-discovered, post-normalization) natural loop.
-    pub loop_: dswp_analysis::NaturalLoop,
+    /// The loop's analysis, on `normalized`.
+    pub analyzed: AnalyzedLoop,
+}
+
+impl Deref for LoopAnalysis {
+    type Target = AnalyzedLoop;
+
+    fn deref(&self) -> &AnalyzedLoop {
+        &self.analyzed
+    }
 }
 
 /// Analyzes the loop with `header` in `func` without transforming
@@ -187,49 +249,20 @@ pub fn analyze_loop(
     header: BlockId,
     alias: AliasMode,
 ) -> Result<LoopAnalysis, DswpError> {
-    let mut scratch = program.clone();
-    let Analyzed { pdg, dag, l, .. } = analyze(&mut scratch, func, header, alias)?;
+    let mut normalized = program.clone();
+    let analyzed = AnalyzedLoop::new(&mut normalized, func, header, alias)?;
     Ok(LoopAnalysis {
-        normalized: scratch,
-        pdg,
-        dag,
-        loop_: l,
+        normalized,
+        analyzed,
     })
 }
 
-/// What [`analyze`] produces for one loop.
-struct Analyzed {
-    norm: NormalizedLoop,
-    /// The natural loop, re-discovered after normalization.
-    l: dswp_analysis::NaturalLoop,
-    pdg: dswp_analysis::Pdg,
-    dag: DagScc,
-}
-
-/// The analysis sequence shared by every loop-level entry point: verify
-/// `program`, normalize the loop with `header` in place, and build its PDG
-/// and `DAG_SCC`.
-fn analyze(
-    program: &mut Program,
-    func: FuncId,
-    header: BlockId,
-    alias: AliasMode,
-) -> Result<Analyzed, DswpError> {
-    check_program(program)?;
-    let l = find_loops(program.function(func))
+/// The natural loop of `f` with `header`.
+pub(crate) fn find_loop(f: &Function, header: BlockId) -> Result<NaturalLoop, DswpError> {
+    find_loops(f)
         .into_iter()
         .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
-    let norm = normalize_loop(program.function_mut(func), &l)?;
-    let l = find_loops(program.function(func))
-        .into_iter()
-        .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
-    let f = program.function(func);
-    let liveness = Liveness::compute(f);
-    let pdg = build_pdg(f, &l, &liveness, &PdgOptions { alias });
-    let dag = DagScc::compute(&pdg.instr_graph());
-    Ok(Analyzed { norm, l, pdg, dag })
+        .ok_or(DswpError::NoCandidateLoop)
 }
 
 /// Structural-verification gate shared by the public loop-level entry
@@ -262,22 +295,21 @@ pub fn dswp_loop(
     profile: &Profile,
     opts: &DswpOptions,
 ) -> Result<DswpReport, DswpError> {
-    let Analyzed { norm, l, pdg, dag } = analyze(program, func, header, opts.alias)?;
-    let f = program.function(func);
-    if dag.len() <= 1 {
+    let a = AnalyzedLoop::new(program, func, header, opts.alias)?;
+    if a.dag.len() <= 1 {
         return Err(DswpError::SingleScc);
     }
 
     // Partition.
-    let costs = scc_costs(f, func, &pdg, &dag, profile, &opts.latency);
+    let costs = scc_costs(program, &a, profile, &opts.latency);
     let partitioning = match &opts.partitioning {
         Some(p) => {
-            p.validate(&dag, opts.max_threads)?;
+            p.validate(&a.dag, opts.max_threads)?;
             p.clone()
         }
         None => {
             let p = tpp_heuristic(
-                &dag,
+                &a.dag,
                 &costs,
                 &TppOptions {
                     max_threads: opts.max_threads,
@@ -287,80 +319,49 @@ pub fn dswp_loop(
             if p.num_threads < 2 {
                 return Err(DswpError::NotProfitable);
             }
-            p.validate(&dag, opts.max_threads)?;
+            p.validate(&a.dag, opts.max_threads)?;
             p
         }
     };
-    let est = estimated_speedup(
-        f,
-        func,
-        &pdg,
-        &dag,
-        &partitioning,
-        &costs,
-        profile,
-        opts.latency.queue,
-    );
+    let times = stage_times(&a, &partitioning, &costs, profile, opts.latency.queue);
+    let est = estimated_speedup(&costs, &times);
     if opts.partitioning.is_none() && est < opts.min_speedup {
         return Err(DswpError::NotProfitable);
     }
 
     // Replication plan (decided before the split mutates the function:
-    // legality and the stage-time estimate both need the pre-split PDG).
-    // One `(stage, replicas)` pair per stage to replicate, in stage order.
+    // legality reads the pre-split program). One `(stage, replicas)` pair
+    // per stage to replicate, in stage order.
     let repl_plan: Vec<(usize, usize)> = match opts.replicate {
-        Replicate::Off => Vec::new(),
-        _ => {
-            let replicable = replicable_stages(f, &pdg, &dag, &partitioning, opts.alias);
-            let times = stage_times(
-                f,
-                func,
-                &pdg,
-                &dag,
-                &partitioning,
-                &costs,
-                profile,
-                opts.latency.queue,
-            );
-            match opts.replicate {
-                Replicate::Off => Vec::new(),
-                Replicate::Fixed(k) if k >= 2 => (0..partitioning.num_threads)
-                    .filter(|&t| replicable[t])
-                    .map(|t| (t, k))
-                    .collect(),
-                Replicate::Fixed(_) => Vec::new(),
-                Replicate::Auto { cores } => {
-                    let cores = cores.unwrap_or_else(|| {
-                        std::thread::available_parallelism().map_or(1, |n| n.get())
-                    });
-                    replica_plans(&times, &replicable, cores)
-                }
-            }
+        Replicate::Off | Replicate::Fixed(0..=1) => Vec::new(),
+        Replicate::Fixed(k) => replicable_stages(program, &a, &partitioning)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, ok)| ok)
+            .map(|(t, _)| (t, k))
+            .collect(),
+        Replicate::Auto { cores } => {
+            let cores = cores
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+            let replicable = replicable_stages(program, &a, &partitioning);
+            replica_plans(&times, &replicable, cores)
         }
     };
 
     // Split.
-    let loop_instrs: usize = l
-        .blocks
-        .iter()
-        .map(|&b| program.function(func).block(b).instrs().len())
-        .sum();
-    let loop_blocks = l.blocks.len();
-    let artifacts = apply_dswp(program, func, &norm, &l, &pdg, &dag, &partitioning)?;
+    let artifacts = apply_dswp(program, &a, &partitioning)?;
     // Replicate each planned stage in turn. The calls compose: every call
     // only rewrites its own stage's auxiliary function and mints fresh
     // queues/functions, so earlier replications are never disturbed.
     let replication: Vec<ReplicationInfo> = repl_plan
         .into_iter()
-        .filter_map(|(t, k)| {
-            replicate_stage(program, func, &norm, artifacts.aux_functions[t - 1], t, k)
-        })
+        .filter_map(|(t, k)| replicate_stage(program, &a, artifacts.aux_functions[t - 1], t, k))
         .collect();
     Ok(DswpReport {
         loop_header: header,
-        loop_blocks,
-        loop_instrs,
-        num_sccs: dag.len(),
+        loop_blocks: a.loop_.blocks.len(),
+        loop_instrs: a.pdg.num_instr_nodes(),
+        num_sccs: a.dag.len(),
         partitioning,
         estimated_speedup: est,
         artifacts,
@@ -384,10 +385,7 @@ pub fn annotate_loop_affine(
     func: FuncId,
     header: BlockId,
 ) -> Result<dswp_analysis::ScevStats, DswpError> {
-    let l = find_loops(program.function(func))
-        .into_iter()
-        .find(|l| l.header == header)
-        .ok_or(DswpError::NoCandidateLoop)?;
+    let l = find_loop(program.function(func), header)?;
     Ok(dswp_analysis::annotate_affine(
         program.function_mut(func),
         &l,

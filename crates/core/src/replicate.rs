@@ -44,14 +44,14 @@
 
 use std::collections::BTreeMap;
 
-use dswp_analysis::{alias_query, AliasMode, DagScc, Pdg};
+use dswp_analysis::alias_query;
 use dswp_ir::program::TERMINATE_SENTINEL;
 use dswp_ir::{
     BinOp, BlockId, CmpOp, FuncId, Function, InstrId, Op, Operand, Program, QueueId, Reg,
 };
 
-use crate::normalize::NormalizedLoop;
 use crate::partition::Partitioning;
+use crate::pipeline::AnalyzedLoop;
 
 /// Replication request, carried in
 /// [`DswpOptions`](crate::pipeline::DswpOptions).
@@ -174,13 +174,14 @@ pub(crate) fn replica_plans(
 ///
 /// Stage 0 stays with the loop control recurrence on the main thread and
 /// is never replicable.
+///
+/// `program` is the program `a` was analysed on.
 pub fn replicable_stages(
-    f: &Function,
-    pdg: &Pdg,
-    dag: &DagScc,
+    program: &Program,
+    a: &AnalyzedLoop,
     partitioning: &Partitioning,
-    alias: AliasMode,
 ) -> Vec<bool> {
+    let (f, pdg, dag) = (program.function(a.func), &a.pdg, &a.dag);
     let n = partitioning.num_threads;
     let stage_of_node = |node: usize| -> Option<usize> {
         (node < pdg.num_instr_nodes()).then(|| partitioning.assignment[dag.node_scc[node]])
@@ -205,13 +206,13 @@ pub fn replicable_stages(
             ok[s] = false;
         }
     }
-    for (_, id) in f.instr_ids() {
+    for id in a.loop_instrs() {
         let Some(s) = stage_of_instr(id) else {
             continue;
         };
         match f.op(id) {
             Op::Store { mem, .. } => {
-                let r = alias_query(mem, mem, alias);
+                let r = alias_query(mem, mem, a.alias);
                 if r.carried_forward || r.carried_backward {
                     ok[s] = false;
                 }
@@ -449,7 +450,8 @@ fn add_master(program: &mut Program, name: String, mq: QueueId) -> FuncId {
 }
 
 /// Replicates pipeline `stage` (whose auxiliary loop function is
-/// `aux_fid`) `replicas` ways, in place, after [`apply_dswp`] has run.
+/// `aux_fid`) `replicas` ways, in place, after [`apply_dswp`] has split the
+/// loop `a` describes.
 /// The scatter routes each iteration to the least-backlogged replica
 /// ([`Op::QueueDepth`] feedback); routing never changes observable
 /// results, only which replica runs which iteration.
@@ -468,12 +470,12 @@ fn add_master(program: &mut Program, name: String, mq: QueueId) -> FuncId {
 /// [`apply_dswp`]: crate::transform::apply_dswp
 pub fn replicate_stage(
     program: &mut Program,
-    func: FuncId,
-    norm: &NormalizedLoop,
+    a: &AnalyzedLoop,
     aux_fid: FuncId,
     stage: usize,
     replicas: usize,
 ) -> Option<ReplicationInfo> {
+    let (func, norm) = (a.func, &a.norm);
     let n = replicas;
     if n < 2 {
         return None;

@@ -29,11 +29,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use dswp_ir::program::TERMINATE_SENTINEL;
 use dswp_ir::{BlockId, FuncId, Function, InstrId, Op, Operand, Program, QueueId, Reg};
 
-use dswp_analysis::{loop_control_deps, DagScc, DepKind, NaturalLoop, Pdg, PostDomTree};
+use dswp_analysis::{DepKind, NaturalLoop, PostDomTree};
 
 use crate::error::DswpError;
 use crate::normalize::NormalizedLoop;
 use crate::partition::Partitioning;
+use crate::pipeline::AnalyzedLoop;
 
 /// What a loop-flow queue carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,12 +73,10 @@ pub struct DswpArtifacts {
     pub queues_used: usize,
 }
 
-/// Applies the DSWP split to `loop_` of `program.function(func)` under
-/// `partitioning`.
+/// Applies the DSWP split to the loop `a` describes under `partitioning`.
 ///
-/// The loop must already be normalized (see
-/// [`normalize_loop`](crate::normalize::normalize_loop)) and `pdg`/`dag`
-/// computed on the normalized CFG. The partitioning must be valid for `dag`.
+/// `program` must be the program `a` was analysed on (with the loop
+/// normalized), and the partitioning must be valid for `a.dag`.
 ///
 /// # Errors
 ///
@@ -86,13 +85,10 @@ pub struct DswpArtifacts {
 /// flow.
 pub fn apply_dswp(
     program: &mut Program,
-    func: FuncId,
-    norm: &NormalizedLoop,
-    loop_: &NaturalLoop,
-    pdg: &Pdg,
-    dag: &DagScc,
+    a: &AnalyzedLoop,
     partitioning: &Partitioning,
 ) -> Result<DswpArtifacts, DswpError> {
+    let (func, norm, loop_, pdg, dag) = (a.func, &a.norm, &a.loop_, &a.pdg, &a.dag);
     let n = partitioning.num_threads;
     assert!(n >= 2, "apply_dswp requires at least two threads");
     let src = program.function(func).clone();
@@ -105,9 +101,9 @@ pub fn apply_dswp(
     };
 
     // ---- block-level control dependences of the (normalized) loop ----
-    let block_ctrl = loop_control_deps(&src, loop_);
     let controllers_of = |b: BlockId| -> Vec<BlockId> {
-        let mut v: Vec<BlockId> = block_ctrl
+        let mut v: Vec<BlockId> = pdg
+            .control
             .iter()
             .filter(|d| d.dependent == b)
             .map(|d| d.branch_block)
@@ -149,12 +145,11 @@ pub fn apply_dswp(
             }
         }
     }
-    let block_of = src.instr_blocks();
     loop {
         let mut changed = false;
         // Sources of flows must be relevant in both producer and consumer.
         for (&(u, tv), _) in flow_keys.iter() {
-            let b = block_of[u.index()].expect("flow source is in a block");
+            let b = pdg.block_of(pdg.node_of(u).expect("flow source is in the loop"));
             changed |= relevant[tv].insert(b);
             let tu = thread_of(u).unwrap();
             changed |= relevant[tu].insert(b);

@@ -9,8 +9,8 @@
 //! the oracle is exact (final memory image). Cases are enumerated from
 //! deterministic seeds (see `dswp-testutil`).
 
-use dswp::{analyze_loop, dswp_loop, enumerate_two_thread, DswpError, DswpOptions};
-use dswp_analysis::AliasMode;
+use dswp::{analyze_loop, dswp_loop, enumerate_two_thread, normalize_loop, DswpError, DswpOptions};
+use dswp_analysis::{find_loops, AliasMode};
 use dswp_ir::interp::Interpreter;
 use dswp_ir::verify::verify_program;
 use dswp_ir::{BlockId, FunctionBuilder, Program, ProgramBuilder, Reg, RegionId};
@@ -328,6 +328,32 @@ fn random_loops_survive_dswp() {
                     &exec.memory, &baseline.memory,
                     "seed {seed} partition {part:?}"
                 );
+            }
+        }
+    }
+}
+
+/// `normalize_loop` returns the loop `find_loops` rediscovers afterwards,
+/// for every loop of generated programs, unrolled ones included.
+#[test]
+fn normalize_loop_returns_the_rediscovered_loop() {
+    for seed in 0..cases(48) as u64 {
+        let mut rng = Rng::new(0x4E4F_524D ^ seed);
+        let body = shape(&mut rng, 2);
+        let seeds = pool_seeds(&mut rng);
+        let factor = rng.range(2, 4);
+
+        let program = build_program(&body, &seeds);
+        let main = program.main();
+        let mut unrolled = program.clone();
+        dswp::unroll_loop(&mut unrolled, main, BlockId(1), factor).expect("unrolls");
+        for p in [&program, &unrolled] {
+            let f = p.function(main);
+            for l in find_loops(f) {
+                let mut g = f.clone();
+                let (_, returned) = normalize_loop(&mut g, &l).expect("single exit");
+                let found = find_loops(&g).into_iter().find(|n| n.header == l.header);
+                assert_eq!(Some(returned), found, "seed {seed}");
             }
         }
     }

@@ -158,7 +158,7 @@ use dswp_ir::exec::MULTI_CONTEXT_STEP_LIMIT;
 use dswp_ir::Program;
 
 use monitor::Verdict;
-use worker::{Shared, StageEnd};
+use worker::Shared;
 
 pub use fault::{silence_injected_panics, FaultPlan, InjectedPanic};
 pub use queue::{BatchHistogram, QueueStats};
@@ -539,7 +539,7 @@ impl<'p> Runtime<'p> {
     pub fn run(&self) -> Result<RtResult, RtError> {
         let shared = Arc::new(Shared::new(self.program, &self.config));
         let started = Instant::now();
-        let reports = worker::run_stages(&shared);
+        let mut reports = worker::run_stages(&shared);
         let elapsed = started.elapsed();
 
         if let Some(Verdict::Fail(err)) = shared.monitor.verdict() {
@@ -556,20 +556,8 @@ impl<'p> Runtime<'p> {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            entry_regs: reports[0].entry_regs.clone(),
-            stages: reports
-                .iter()
-                .map(|r| StageStats {
-                    steps: r.steps,
-                    pool_steps: r.pool_steps,
-                    wall: r.wall,
-                    blocked: r.blocked,
-                    parked: r.end == StageEnd::Parked,
-                    retries: r.retries,
-                    parks: r.parks,
-                    panicked: r.end == StageEnd::Panicked,
-                })
-                .collect(),
+            entry_regs: std::mem::take(&mut reports[0].entry_regs),
+            stages: reports.into_iter().map(|r| r.stats).collect(),
             queues: shared.queues.iter().map(|q| q.stats()).collect(),
             streams,
             elapsed,

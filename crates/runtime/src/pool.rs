@@ -238,7 +238,7 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::StageEnd;
+    use crate::monitor::Verdict;
     use crate::RtConfig;
     use dswp_ir::{ProgramBuilder, QueueId};
 
@@ -305,9 +305,10 @@ mod tests {
             .collect();
         for offer in offers {
             let report = offer.finish().expect("a handed-over stage reports");
-            assert_eq!(report.end, StageEnd::Terminated);
-            assert_eq!(report.steps, 3);
+            assert!(!report.stats.parked && !report.stats.panicked);
+            assert_eq!(report.stats.steps, 3);
         }
+        assert!(!matches!(shared.monitor.verdict(), Some(Verdict::Fail(_))));
         assert_eq!(shared.memory[0].load(Ordering::Relaxed), n as i64 - 1);
         assert_eq!(lock(&POOL.idle).len(), n);
     }
@@ -329,8 +330,9 @@ mod tests {
         let second = hand(&POOL, &shared, 1);
         assert!(Arc::ptr_eq(&second.worker, &worker));
         let report = second.finish().expect("a handed-over stage reports");
-        assert_eq!(report.end, StageEnd::Terminated);
-        assert_eq!((report.steps, report.pool_steps), (3, 3));
+        assert!(!report.stats.parked && !report.stats.panicked);
+        assert!(!matches!(shared.monitor.verdict(), Some(Verdict::Fail(_))));
+        assert_eq!((report.stats.steps, report.stats.pool_steps), (3, 3));
         assert_eq!(shared.queues[0].try_consume(), Some(1));
         assert_eq!(lock(&POOL.idle).len(), 1);
     }

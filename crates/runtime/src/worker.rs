@@ -102,7 +102,7 @@ use crate::fault::{FaultPlan, InjectedPanic, StageFaults};
 use crate::monitor::{can_progress, BlockInfo, BlockKind, Monitor, WaitOutcome, WaitSet};
 use crate::pool;
 use crate::queue::SpscQueue;
-use crate::{panic_message, RtConfig, RtError};
+use crate::{panic_message, RtConfig, RtError, StageStats};
 
 /// Steps claimed from the shared budget at a time; also the cadence of
 /// abort, cancel and deadline checks, progress heartbeats, opportunistic
@@ -196,29 +196,13 @@ pub(crate) enum StageEnd {
     Panicked,
 }
 
-/// Per-stage outcome and statistics, reported to `Runtime::run` when the
-/// stage ends.
+/// What a stage reports to `Runtime::run` when it ends.
 #[derive(Clone, Debug)]
 pub(crate) struct StageReport {
-    pub end: StageEnd,
-    /// Successfully executed instructions (matches the functional
-    /// executor's per-context step counts exactly).
-    pub steps: u64,
-    /// Instructions retired on a pool worker after it claimed the stage.
-    pub pool_steps: u64,
+    /// The stage's statistics, as the run's result publishes them.
+    pub stats: StageStats,
     /// Entry-frame registers at the end of the run.
     pub entry_regs: Vec<i64>,
-    /// Wall-clock time from the stage's first instruction to its end.
-    pub wall: Duration,
-    /// Portion of `wall` spent blocked on queues: waiting in the backoff
-    /// loop, or stopped while another task of its thread ran.
-    pub blocked: Duration,
-    /// Failed queue-operation attempts that entered the spin→yield→park
-    /// backoff or stopped the stage (each retry is one failed attempt of a
-    /// blocked operation).
-    pub retries: u64,
-    /// Times the stage gave up spinning and parked on the monitor.
-    pub parks: u64,
 }
 
 /// Why a blocking queue operation did not complete.
@@ -526,18 +510,21 @@ impl StageTask {
         shared.monitor.stage_steps[t].store(self.steps, Ordering::Relaxed);
         shared.monitor.progress.fetch_add(1, Ordering::Relaxed);
         StageReport {
-            end,
-            steps: self.steps,
-            pool_steps: self.claimed_at.map_or(0, |at| self.steps - at),
+            stats: StageStats {
+                steps: self.steps,
+                pool_steps: self.claimed_at.map_or(0, |at| self.steps - at),
+                wall: self.started.map_or(Duration::ZERO, |s| now - s),
+                blocked: self.io.blocked,
+                parked: end == StageEnd::Parked,
+                retries: self.io.backoff.retries,
+                parks: self.io.backoff.parks,
+                panicked: end == StageEnd::Panicked,
+            },
             entry_regs: if end == StageEnd::Panicked {
                 Vec::new()
             } else {
                 shared.code.entry_regs(&self.stack)
             },
-            wall: self.started.map_or(Duration::ZERO, |s| now - s),
-            blocked: self.io.blocked,
-            retries: self.io.backoff.retries,
-            parks: self.io.backoff.parks,
         }
     }
 }

@@ -2,9 +2,10 @@
 //! and check observational equivalence on both executors, plus the
 //! case-study behaviors (gzip bail-out, epicdec alias sensitivity).
 
-use dswp::{dswp_loop, DswpError, DswpOptions};
+use dswp::{analyze_loop, dswp_loop, DswpError, DswpOptions};
 use dswp_analysis::AliasMode;
 use dswp_ir::interp::Interpreter;
+use dswp_ir::text::to_text;
 use dswp_ir::verify::verify_program;
 use dswp_sim::{Executor, Machine, MachineConfig};
 use dswp_workloads::{adpcm, epic, gzip, paper_suite, Size, Workload};
@@ -62,6 +63,19 @@ fn gzip_case_study_is_declined() {
         matches!(err, DswpError::SingleScc | DswpError::NotProfitable),
         "gzip should be unfit for DSWP, got {err}"
     );
+}
+
+/// A declined loop stays normalized in place, exactly the program
+/// `analyze_loop` analyses.
+#[test]
+fn a_declined_loop_is_left_normalized() {
+    let w = gzip::build(Size::Test);
+    let baseline = Interpreter::new(&w.program).run().unwrap();
+    let mut p = w.program.clone();
+    let main = p.main();
+    dswp_loop(&mut p, main, w.header, &baseline.profile, &opts()).unwrap_err();
+    let a = analyze_loop(&w.program, main, w.header, opts().alias).unwrap();
+    assert_eq!(to_text(&p), to_text(&a.normalized));
 }
 
 #[test]

@@ -45,7 +45,7 @@
 
 use std::process::ExitCode;
 
-use dswp_repro::analysis::{AliasMode, DagScc};
+use dswp_repro::analysis::AliasMode;
 use dswp_repro::dswp::PipelineMap;
 use dswp_repro::dswp::{
     analyze_loop, annotate_loop_affine, dswp_loop, loop_stats, select_loop, unroll_loop,
@@ -341,11 +341,10 @@ fn main() -> ExitCode {
         if let Some(path) = &args.dot {
             match analyze_loop(&program, main_fn, header, args.alias) {
                 Ok(a) => {
-                    let dag = DagScc::compute(&a.pdg.instr_graph());
                     let dot = dswp_repro::analysis::pdg_to_dot(
                         a.normalized.function(main_fn),
                         &a.pdg,
-                        Some(&dag),
+                        Some(&a.dag),
                     );
                     if let Err(e) = std::fs::write(path, dot) {
                         eprintln!("dswpc: cannot write {path}: {e}");
